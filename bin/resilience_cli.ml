@@ -33,12 +33,6 @@ let db_file_arg =
 let facts_arg =
   Arg.(value & opt (some string) None & info [ "facts" ] ~docv:"FACTS" ~doc:"Inline facts, ';'-separated.")
 
-let legacy_eval_arg =
-  Arg.(value & flag & info [ "legacy-eval" ]
-         ~doc:"Evaluate with the legacy structural join instead of the columnar plane \
-               (equivalent to \\$(b,RES_LEGACY_EVAL)=1; results are identical, this is \
-               the differential-debugging escape hatch).")
-
 (* --- multicore --------------------------------------------------------- *)
 
 let jobs_arg =
@@ -191,9 +185,8 @@ let print_bounds db q =
       (upper.Res_bounds.Upper.value - Res_bounds.Lower.value lower)
 
 let solve_cmd =
-  let run query_s db_file facts_inline explain timeout json bounds jobs trace_file legacy =
+  let run query_s db_file facts_inline explain timeout json bounds jobs trace_file =
     with_trace trace_file @@ fun () ->
-    if legacy then Eval.set_legacy true;
     let q = parse_query query_s in
     let db = load_db db_file facts_inline in
     let cancel =
@@ -260,7 +253,7 @@ let solve_cmd =
   in
   Cmd.v (Cmd.info "solve" ~doc:"Compute the resilience of a database w.r.t. a query")
     Term.(const run $ query_arg $ db_file_arg $ facts_arg $ explain_arg $ timeout_arg $ json_arg
-          $ bounds_arg $ jobs_arg $ trace_file_arg $ legacy_eval_arg)
+          $ bounds_arg $ jobs_arg $ trace_file_arg)
 
 (* --- watch ------------------------------------------------------------ *)
 
@@ -268,9 +261,8 @@ let solve_cmd =
    then one updated answer per delta batch read from stdin (or --script).
    The same verbs are available over the wire as protocol v4's "watch". *)
 let watch_cmd =
-  let run query_s db_file facts_inline script explain validate json jobs trace_file legacy =
+  let run query_s db_file facts_inline script explain validate json jobs trace_file =
     with_trace trace_file @@ fun () ->
-    if legacy then Eval.set_legacy true;
     let q = parse_query query_s in
     let db = load_db db_file facts_inline in
     let ic =
@@ -356,7 +348,7 @@ let watch_cmd =
     (Cmd.info "watch"
        ~doc:"Maintain the resilience of a database under a stream of insert/delete deltas")
     Term.(const run $ query_arg $ db_file_arg $ facts_arg $ script_arg $ explain_arg
-          $ validate_arg $ json_arg $ jobs_arg $ trace_file_arg $ legacy_eval_arg)
+          $ validate_arg $ json_arg $ jobs_arg $ trace_file_arg)
 
 (* --- batch ------------------------------------------------------------ *)
 
@@ -833,8 +825,7 @@ let route_cmd =
 (* --- witnesses ---------------------------------------------------------- *)
 
 let witnesses_cmd =
-  let run query_s db_file facts_inline legacy =
-    if legacy then Eval.set_legacy true;
+  let run query_s db_file facts_inline =
     let q = parse_query query_s in
     let db = load_db db_file facts_inline in
     let ws = Eval.witnesses db q in
@@ -851,7 +842,7 @@ let witnesses_cmd =
       ws
   in
   Cmd.v (Cmd.info "witnesses" ~doc:"Enumerate the witnesses of D |= q")
-    Term.(const run $ query_arg $ db_file_arg $ facts_arg $ legacy_eval_arg)
+    Term.(const run $ query_arg $ db_file_arg $ facts_arg)
 
 (* --- gen ----------------------------------------------------------------- *)
 

@@ -3,9 +3,9 @@
     A compact {!Csr} base plus a mutable overlay (inserted-edge lists and a
     deleted-edge tombstone set).  Deltas are O(1) amortized: when the overlay
     outgrows a quarter of the base, the structure compacts back into a fresh
-    {!Csr}.  Queries see the merged live edge set at all times.  This is the
-    adjacency backing the versioned database's columnar shadow — the patched
-    alternative to rebuilding interned instances per delta. *)
+    {!Csr}.  Queries see the merged live edge set at all times.  The
+    incremental z3 strategy keeps its interned middle tuples in one — the
+    patched alternative to rebuilding an interned instance per delta. *)
 
 type t
 

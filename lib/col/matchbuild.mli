@@ -2,12 +2,10 @@
     cover instances behind {!Resilience.Special}'s permutation
     strategies (Props 33 and 36).
 
-    The structural path re-indexes [Database.tuples_of] lists through
-    value-keyed hashtables and balanced maps; here every step runs on
-    interned int columns: binary tuples pack into one int key
-    ([(u lsl 31) lor v], ids < 2^31 by the dict budget), distinct-key
-    vectors come from one sort, and vertex ids are ranks in the sorted
-    arrays — the same sort-based renumbering scheme as
+    Every step runs on interned int columns: binary tuples pack into one
+    int key ([(u lsl 31) lor v], ids < 2^31 by the dict budget),
+    distinct-key vectors come from one sort, and vertex ids are ranks in
+    the sorted arrays — the same sort-based renumbering scheme as
     {!Flowbuild}.  Values are only materialized by the caller when
     emitting the final contingency facts. *)
 

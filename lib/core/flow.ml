@@ -182,13 +182,11 @@ let solve_kernel ~cancel ~fact_exogenous view db q atoms bounds =
 
 (* ---- the structural path ----------------------------------------------- *)
 
+(* Queries with an atom of arity > 2 have no columnar view; their network
+   is built from the structural tuples.  (Only columnar instances are
+   semijoin-reduced, so there is no pre-pass here.) *)
+
 let solve_structural ~cancel ~fact_exogenous db (q : Res_cq.Query.t) atoms bounds =
-  (* Semijoin pre-pass: tuples pruned by the reduction lie on no witness,
-     hence on no source-sink path of the network below — dropping them
-     shrinks the graph without changing max-flow value or min-cut
-     validity.  [Eval.reduce] preserves the witness set exactly, so the
-     sat-checks against the reduced db are also equivalent. *)
-  let db = Obs.span ~cat:"flow" "semijoin" (fun () -> Eval.reduce db q) in
   let m = Array.length atoms in
   let source = 0 and sink = 1 in
   let net, edge_facts =

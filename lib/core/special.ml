@@ -61,14 +61,19 @@ let one_way_tuples db r =
   List.iter (fun (a, b) -> Hashtbl.replace present (a, b) ()) tuples;
   List.filter (fun (a, b) -> not (Hashtbl.mem present (b, a))) tuples
 
-(* --- the columnar kernels (Props 33 and 36) ---------------------------- *)
+(* --- Propositions 33 and 36: matching kernels on interned ids --------- *)
 
-(* The structural strategies below re-index [Database.tuples_of] lists
-   through value-keyed hashtables and a [VPmap]; with a columnar
-   {!Eval.view} available the same graphs are built by
-   {!Res_col.Matchbuild} on interned int columns — packed keys, one
-   sort per vertex class, ranks as vertex ids — and only the final
-   contingency facts are materialized back through [view_value]. *)
+(* The perm, A-perm and z3 templates have only unary and binary atoms,
+   so their instances always compile to a columnar {!Eval.view}.  The
+   graphs are built by {!Res_col.Matchbuild} on the interned int columns
+   — packed keys, one sort per vertex class, ranks as vertex ids — and
+   only the final contingency facts are materialized back through
+   [view_value]. *)
+
+let view_of db q =
+  match Eval.view db q with
+  | Some view -> view
+  | None -> invalid_arg "Special: template query is not columnar-eligible"
 
 (* a two-way pair's fact, canonically oriented like [VP.make] *)
 let pair_fact view r k =
@@ -80,11 +85,15 @@ let kernel_two_way view r =
   let data = Eval.view_data view r in
   Matchbuild.two_way (Matchbuild.distinct_keys ~col0:data.col0 ~col1:data.col1)
 
-let solve_perm_kernel view ~r db q =
+(* Proposition 33, qperm: one tuple per two-way pair. *)
+let solve_perm ~r db q =
+  let view = view_of db q in
   let pairs = Obs.span ~cat:"special" "build" @@ fun () -> kernel_two_way view r in
   finalize_kernel view db q (Array.to_list (Array.map (pair_fact view r) pairs))
 
-let solve_a_perm_kernel view ~a ~r db q =
+(* Proposition 33, qAperm: König cover between A-values and two-way pairs. *)
+let solve_a_perm ~a ~r db q =
+  let view = view_of db q in
   let cg =
     Obs.span ~cat:"special" "build" @@ fun () ->
     let a_ids = Matchbuild.distinct_ids (Eval.view_data view a).col0 in
@@ -100,7 +109,9 @@ let solve_a_perm_kernel view ~a ~r db q =
   in
   finalize_kernel view db q facts
 
-let solve_z3_kernel view ~r ~a db q =
+(* Proposition 36, z3: König cover between diagonal R-tuples and A-tuples. *)
+let solve_z3 ~r ~a db q =
+  let view = view_of db q in
   let cg =
     Obs.span ~cat:"special" "build" @@ fun () ->
     let data = Eval.view_data view r in
@@ -121,108 +132,6 @@ let solve_z3_kernel view ~r ~a db q =
     @ List.map (fun ai -> Database.fact a [ Eval.view_value view cg.right_keys.(ai) ]) right
   in
   finalize_kernel view db q facts
-
-(* --- Proposition 33 --------------------------------------------------- *)
-
-let solve_perm ~r db q =
-  match Eval.view db q with
-  | Some view -> solve_perm_kernel view ~r db q
-  | None ->
-    let pairs = Obs.span ~cat:"special" "build" @@ fun () -> two_way_pairs db r in
-    let contingency = List.map (fun (a, b) -> Database.fact r [ a; b ]) pairs in
-    finalize db q contingency
-
-let solve_a_perm ~a ~r db q =
-  match Eval.view db q with
-  | Some view -> solve_a_perm_kernel view ~a ~r db q
-  | None ->
-    let g, a_arr, pairs =
-      Obs.span ~cat:"special" "build" @@ fun () ->
-      let a_values =
-        List.filter_map
-          (fun t -> match t with [ v ] -> Some v | _ -> None)
-          (Database.tuples_of db a)
-      in
-      let a_arr = Array.of_list a_values in
-      let a_index = Hashtbl.create 16 in
-      Array.iteri (fun i v -> Hashtbl.replace a_index v i) a_arr;
-      let pairs = Array.of_list (two_way_pairs db r) in
-      let g =
-        Res_graph.Bipartite.create ~n_left:(Array.length a_arr) ~n_right:(Array.length pairs)
-      in
-      Array.iteri
-        (fun pi (u, v) ->
-          (* witness (u,v) needs A(u); witness (v,u) needs A(v). *)
-          List.iter
-            (fun w ->
-              match Hashtbl.find_opt a_index w with
-              | Some ai -> Res_graph.Bipartite.add_edge g ai pi
-              | None -> ())
-            (if Value.equal u v then [ u ] else [ u; v ]))
-        pairs;
-      (g, a_arr, pairs)
-    in
-    let left, right =
-      Obs.span ~cat:"special" "matching" @@ fun () -> Res_graph.Bipartite.min_vertex_cover g
-    in
-    let facts =
-      List.map (fun ai -> Database.fact a [ a_arr.(ai) ]) left
-      @ List.map
-          (fun pi ->
-            let u, v = pairs.(pi) in
-            Database.fact r [ u; v ])
-          right
-    in
-    finalize db q facts
-
-(* --- Proposition 36 (z3) ---------------------------------------------- *)
-
-let solve_z3 ~r ~a db q =
-  match Eval.view db q with
-  | Some view -> solve_z3_kernel view ~r ~a db q
-  | None ->
-    let g, diag, a_arr =
-      Obs.span ~cat:"special" "build" @@ fun () ->
-      let diag =
-        List.filter_map
-          (fun t -> match t with [ u; v ] when Value.equal u v -> Some u | _ -> None)
-          (Database.tuples_of db r)
-      in
-      let diag = Array.of_list diag in
-      let diag_index = Hashtbl.create 16 in
-      Array.iteri (fun i v -> Hashtbl.replace diag_index v i) diag;
-      let a_values =
-        List.filter_map
-          (fun t -> match t with [ v ] -> Some v | _ -> None)
-          (Database.tuples_of db a)
-      in
-      let a_arr = Array.of_list a_values in
-      let a_index = Hashtbl.create 16 in
-      Array.iteri (fun i v -> Hashtbl.replace a_index v i) a_arr;
-      let g =
-        Res_graph.Bipartite.create ~n_left:(Array.length diag) ~n_right:(Array.length a_arr)
-      in
-      (* witness (u, v): needs R(u,u), R(u,v), A(v) — edge R(u,u)—A(v). *)
-      List.iter
-        (fun t ->
-          match t with
-          | [ u; v ] -> begin
-            match (Hashtbl.find_opt diag_index u, Hashtbl.find_opt a_index v) with
-            | Some di, Some ai -> Res_graph.Bipartite.add_edge g di ai
-            | _ -> ()
-          end
-          | _ -> ())
-        (Database.tuples_of db r);
-      (g, diag, a_arr)
-    in
-    let left, right =
-      Obs.span ~cat:"special" "matching" @@ fun () -> Res_graph.Bipartite.min_vertex_cover g
-    in
-    let facts =
-      List.map (fun di -> Database.fact r [ diag.(di); diag.(di) ]) left
-      @ List.map (fun ai -> Database.fact a [ a_arr.(ai) ]) right
-    in
-    finalize db q facts
 
 (* --- Propositions 13 and 44 ------------------------------------------- *)
 

@@ -1,28 +1,12 @@
-(* Runtime-tunable solver knobs, shared across the PTIME solvers.
+(* Shared finishing step of the PTIME solvers.
 
    The greedy minimalization pass that post-processes flow cuts and vertex
    covers pays a full [Eval.sat] per kept fact, so it is gated on instance
-   size.  The gate used to be two magic numbers duplicated in [Flow] and
-   [Special]; it now lives here, configurable per process via
-   [RES_MINIMALIZE_CAP] or programmatically via {!set_minimalize_cap}. *)
+   size: databases above [minimalize_db_cap] facts, or candidate lists
+   above [minimalize_fact_cap] facts, are returned as they are. *)
 
-let default_minimalize_cap = 20_000
-
-(* Minimalization also bails on very large candidate sets regardless of
-   database size; this second knob is not env-configurable. *)
+let minimalize_db_cap = 20_000
 let minimalize_fact_cap = 200
-
-let cap_of_env () =
-  match Sys.getenv_opt "RES_MINIMALIZE_CAP" with
-  | None -> default_minimalize_cap
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some v when v >= 0 -> v
-    | _ -> default_minimalize_cap)
-
-let cap = ref (cap_of_env ())
-let minimalize_cap () = !cap
-let set_minimalize_cap v = cap := max 0 v
 
 let minimalize_greedy ?(cancel = Cancel.never) db q facts =
   List.fold_left
@@ -107,9 +91,9 @@ let minimalize_counting ~cancel db q facts =
       end
   end
 
-let minimalize ?(cancel = Cancel.never) ?cap:cap_override db q facts =
-  let cap = match cap_override with Some c -> c | None -> minimalize_cap () in
-  if List.length facts > minimalize_fact_cap || Res_db.Database.size db > cap then facts
+let minimalize ?(cancel = Cancel.never) db q facts =
+  if List.length facts > minimalize_fact_cap || Res_db.Database.size db > minimalize_db_cap
+  then facts
   else
     match minimalize_counting ~cancel db q facts with
     | Some kept -> kept

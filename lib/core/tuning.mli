@@ -1,28 +1,17 @@
-(** Runtime-tunable solver knobs.
+(** Contingency-set minimalization shared by {!Flow} and {!Special}.
 
-    The greedy contingency-set minimalization shared by {!Flow} and
-    {!Special} costs one [Eval.sat] per candidate fact, so it only runs on
-    instances below a size cap.  The cap is read from [RES_MINIMALIZE_CAP]
-    at startup (default [20_000]) and can be overridden per call. *)
-
-val default_minimalize_cap : int
-
-val minimalize_cap : unit -> int
-(** Current database-size cap for greedy minimalization. *)
-
-val set_minimalize_cap : int -> unit
-(** Override the cap for this process (clamped to >= 0). *)
+    The greedy pass costs one [Eval.sat] per candidate fact, so it only
+    runs on databases of at most 20_000 facts. *)
 
 val minimalize :
   ?cancel:Cancel.t ->
-  ?cap:int ->
   Res_db.Database.t ->
   Res_cq.Query.t ->
   Res_db.Database.fact list ->
   Res_db.Database.fact list
 (** Drop facts whose removal keeps the remainder a contingency set, greedily
     left to right.  Identity when the candidate list exceeds 200 facts or the
-    database exceeds the cap ([?cap] overrides the global knob).
+    database exceeds 20_000 facts.
 
     Internally runs a counting rewrite of the greedy pass: witnesses are
     enumerated once and a per-witness count of still-kept candidates

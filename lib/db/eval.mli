@@ -11,10 +11,11 @@
     the columnar engine in [lib/col]: constants are interned to dense
     ids, relations become CSR adjacency, a Yannakakis-style semijoin
     reduction prunes dangling tuples, and witnesses are enumerated by a
-    worst-case-optimal trie join.  Higher-arity queries — and everything
-    when the escape hatch is on — run the legacy structural backtracking
-    join.  Both planes produce identical results; the differential test
-    suite ([test/test_col.ml]) and a dedicated CI leg keep it that way. *)
+    worst-case-optimal trie join.  Higher-arity queries run the
+    structural backtracking join.  The query alone picks the plane.
+    Both planes produce identical results; the differential test suite
+    ([test/test_col.ml]) checks the columnar plane against
+    {!backtracking_witnesses}. *)
 
 type witness = {
   valuation : (Res_cq.Atom.var * Value.t) list; (* in Query.vars order *)
@@ -31,6 +32,12 @@ val witnesses : ?limit:int -> Database.t -> Res_cq.Query.t -> witness list
     (default 2_000_000) witnesses exist — a guard against accidental
     cross-product blowups in tests. *)
 
+val backtracking_witnesses : ?limit:int -> Database.t -> Res_cq.Query.t -> witness list
+(** {!witnesses} computed by the backtracking join whatever the query's
+    arity: the same canonical order and limit.  It is the plane every
+    query with an atom of arity > 2 runs on; on a binary query it is the
+    reference the columnar plane is tested against. *)
+
 val witness_fact_sets : Database.t -> Res_cq.Query.t -> Database.Fact_set.t list
 (** The distinct fact sets of the witnesses (several valuations may map to
     the same fact set). *)
@@ -46,20 +53,13 @@ val reduce : Database.t -> Res_cq.Query.t -> Database.t
 (** The semijoin-reduced instance: drops (right-arity) tuples of the
     query's relations that survive in no atom occurrence of the
     fixpoint — a sound pruning pass, [reduce db q] has exactly the same
-    witness set as [db].  Identity when the query is not columnar-eligible
-    or the legacy plane is forced.  Used as a pre-pass before flow-graph
+    witness set as [db].  Identity when the query is not
+    columnar-eligible.  Used as a pre-pass before flow-graph
     construction. *)
 
-val use_legacy : unit -> bool
-(** Is the legacy evaluator forced ([RES_LEGACY_EVAL] or {!set_legacy})? *)
-
-val set_legacy : bool -> unit
-(** Force (or release) the legacy structural evaluator — the escape
-    hatch back from the columnar plane. *)
-
 val columnar_eligible : Res_cq.Query.t -> bool
-(** All atoms of arity <= 2, i.e. the query can compile onto the
-    columnar plane (it still won't if the legacy flag is set). *)
+(** All atoms of arity <= 2, i.e. the query compiles onto the columnar
+    plane. *)
 
 (** {2 The columnar kernel view}
 
@@ -76,9 +76,8 @@ val view : Database.t -> Res_cq.Query.t -> view option
 (** Compile [db] for [q]: intern the columns without reducing them —
     the semijoin fixpoint runs lazily on first {!view_live} (or any
     enumeration), so kernels that only read raw columns never pay for
-    it.  [None] when the query is not columnar-eligible, the legacy
-    plane is forced, or the kernels are disabled ({!set_kernels} /
-    [RES_COL_KERNELS=0]) — callers then take their structural path. *)
+    it.  [None] exactly when the query is not columnar-eligible —
+    callers then take their structural path. *)
 
 val view_n : view -> int
 (** Exclusive bound of the interned id space (the dict size, < 2^31). *)
@@ -109,11 +108,3 @@ val view_removals_of_facts : view -> Database.fact list -> (string * int array) 
     expects.  Facts over unknown values, unknown relations or the wrong
     arity match no tuple and are dropped — removing them cannot change
     satisfiability. *)
-
-val use_kernels : unit -> bool
-(** Are the columnar solver kernels enabled (default yes; disabled by
-    [RES_COL_KERNELS=0] or {!set_kernels})? *)
-
-val set_kernels : bool -> unit
-(** Toggle the columnar solver kernels at runtime — the A/B axis used
-    by the kernel-vs-structural differential suite and bench. *)

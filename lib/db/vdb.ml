@@ -1,46 +1,12 @@
 (* Versioned database: the mutable view the streaming tier solves against.
 
-   Alongside the immutable [Database.t] (still the source of truth for every
-   from-scratch code path), a [Vdb.t] maintains a columnar shadow that is
-   patched per delta instead of rebuilt: constants are interned once into a
-   dict whose id assignment is stable across updates, each relation's interned
-   columns grow in place with a liveness bitmap, and binary relations keep a
-   {!Res_col.Dyncsr} adjacency updated edge by edge.  Compiling the shadow
-   into a {!Res_col.Instance} therefore skips the interning pass entirely —
-   the expensive part of [Eval.compile] — and costs one O(live) column copy.
+   A [Vdb.t] is an immutable [Database.t] snapshot that advances per
+   delta batch, plus a version and a content fingerprint that advance with
+   it.  Versions count effective deltas; the fingerprint is an
+   order-independent XOR of per-fact 64-bit FNV-1a hashes, so it is
+   maintainable in O(1) per delta and usable as a cache key component. *)
 
-   Versions count effective deltas; the fingerprint is an order-independent
-   XOR of per-fact 64-bit FNV-1a hashes, so it is maintainable in O(1) per
-   delta and usable as a cache key component. *)
-
-module VDict = Res_col.Dict.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
-type shadow = {
-  s_arity : int;
-  mutable tuples : Database.tuple array; (* tid-indexed *)
-  mutable col0 : int array; (* interned, arity 1 and 2 *)
-  mutable col1 : int array; (* interned, arity 2 *)
-  mutable n : int; (* tids assigned *)
-  mutable live : Bytes.t;
-  mutable n_live : int;
-  index : (Database.tuple, int) Hashtbl.t; (* live tuple -> tid *)
-  mutable adj : Res_col.Dyncsr.t option; (* built on demand, then maintained *)
-}
-
-type t = {
-  mutable db : Database.t;
-  mutable version : int;
-  mutable fp : int64;
-  dict : VDict.t;
-  shadows : (string * int, shadow) Hashtbl.t; (* keyed by (rel, arity) *)
-}
-
-(* ---- fingerprint ---------------------------------------------------- *)
+type t = { mutable db : Database.t; mutable version : int; mutable fp : int64 }
 
 let fact_hash (f : Database.fact) =
   let s = Format.asprintf "%a" Database.pp_fact f in
@@ -50,160 +16,11 @@ let fact_hash (f : Database.fact) =
     s;
   !h
 
-let fingerprint_of db =
-  let fp = List.fold_left (fun acc f -> Int64.logxor acc (fact_hash f)) 0L (Database.facts db) in
-  Printf.sprintf "%016Lx" fp
+let fingerprint_bits db =
+  List.fold_left (fun acc f -> Int64.logxor acc (fact_hash f)) 0L (Database.facts db)
 
-(* ---- shadow maintenance --------------------------------------------- *)
-
-let new_shadow arity =
-  {
-    s_arity = arity;
-    tuples = Array.make 16 [];
-    col0 = (if arity >= 1 && arity <= 2 then Array.make 16 0 else [||]);
-    col1 = (if arity = 2 then Array.make 16 0 else [||]);
-    n = 0;
-    live = Bytes.make 16 '\000';
-    n_live = 0;
-    index = Hashtbl.create 64;
-    adj = None;
-  }
-
-let shadow_of t rel arity =
-  match Hashtbl.find_opt t.shadows (rel, arity) with
-  | Some s -> s
-  | None ->
-    let s = new_shadow arity in
-    Hashtbl.replace t.shadows (rel, arity) s;
-    s
-
-let grow_tuples a n =
-  let cap = Array.length a in
-  if n <= cap then a
-  else begin
-    let a' = Array.make (max n (2 * cap)) [] in
-    Array.blit a 0 a' 0 cap;
-    a'
-  end
-
-let grow_ints a n =
-  let cap = Array.length a in
-  if n <= cap then a
-  else begin
-    let a' = Array.make (max n (2 * cap)) 0 in
-    Array.blit a 0 a' 0 cap;
-    a'
-  end
-
-let grow_bytes b n =
-  let cap = Bytes.length b in
-  if n <= cap then b
-  else begin
-    let b' = Bytes.make (max n (2 * cap)) '\000' in
-    Bytes.blit b 0 b' 0 cap;
-    b'
-  end
-
-let is_live s tid = Bytes.get s.live tid <> '\000'
-
-let live_edges s =
-  let acc = ref [] in
-  for tid = s.n - 1 downto 0 do
-    if is_live s tid then acc := (s.col0.(tid), s.col1.(tid), tid) :: !acc
-  done;
-  !acc
-
-let build_adj t s =
-  let n = VDict.size t.dict in
-  Res_col.Dyncsr.build ~n (Array.of_list (live_edges s))
-
-(* Dead tids accumulate under churn; when they dominate, renumber.  All tid
-   consumers are internal (index, adj), so remapping is self-contained. *)
-let compact_shadow t s =
-  if s.n - s.n_live > 64 && s.n - s.n_live > s.n_live then begin
-    let m = s.n_live in
-    let tuples = Array.make (max m 16) [] in
-    let col0 = if Array.length s.col0 > 0 then Array.make (max m 16) 0 else [||] in
-    let col1 = if Array.length s.col1 > 0 then Array.make (max m 16) 0 else [||] in
-    let j = ref 0 in
-    for tid = 0 to s.n - 1 do
-      if is_live s tid then begin
-        tuples.(!j) <- s.tuples.(tid);
-        if Array.length col0 > 0 then col0.(!j) <- s.col0.(tid);
-        if Array.length col1 > 0 then col1.(!j) <- s.col1.(tid);
-        incr j
-      end
-    done;
-    s.tuples <- tuples;
-    s.col0 <- col0;
-    s.col1 <- col1;
-    s.n <- m;
-    s.live <- Bytes.make (max m 16) '\001';
-    Hashtbl.reset s.index;
-    for tid = 0 to m - 1 do
-      Hashtbl.replace s.index tuples.(tid) tid
-    done;
-    if s.adj <> None then s.adj <- Some (build_adj t s)
-  end
-
-let insert_fact t (f : Database.fact) =
-  let ar = List.length f.tuple in
-  let s = shadow_of t f.rel ar in
-  let tid = s.n in
-  s.tuples <- grow_tuples s.tuples (tid + 1);
-  s.live <- grow_bytes s.live (tid + 1);
-  s.tuples.(tid) <- f.tuple;
-  (match (ar, f.tuple) with
-  | 1, [ a ] ->
-    s.col0 <- grow_ints s.col0 (tid + 1);
-    s.col0.(tid) <- VDict.intern t.dict a
-  | 2, [ a; b ] ->
-    s.col0 <- grow_ints s.col0 (tid + 1);
-    s.col1 <- grow_ints s.col1 (tid + 1);
-    s.col0.(tid) <- VDict.intern t.dict a;
-    s.col1.(tid) <- VDict.intern t.dict b
-  | _ -> ());
-  Bytes.set s.live tid '\001';
-  s.n <- tid + 1;
-  s.n_live <- s.n_live + 1;
-  Hashtbl.replace s.index f.tuple tid;
-  match s.adj with
-  | Some a when ar = 2 -> Res_col.Dyncsr.add a ~src:s.col0.(tid) ~dst:s.col1.(tid) ~tid
-  | _ -> ()
-
-let delete_fact t (f : Database.fact) =
-  let ar = List.length f.tuple in
-  let s = shadow_of t f.rel ar in
-  match Hashtbl.find_opt s.index f.tuple with
-  | None -> assert false (* only effective deltas reach here *)
-  | Some tid ->
-    Bytes.set s.live tid '\000';
-    s.n_live <- s.n_live - 1;
-    Hashtbl.remove s.index f.tuple;
-    (match s.adj with
-    | Some a when ar = 2 -> Res_col.Dyncsr.remove a ~src:s.col0.(tid) ~dst:s.col1.(tid)
-    | _ -> ());
-    compact_shadow t s
-
-(* ---- construction and updates --------------------------------------- *)
-
-let create db =
-  let t =
-    {
-      db;
-      version = 0;
-      fp = 0L;
-      dict = VDict.create ~hint:1024 ();
-      shadows = Hashtbl.create 8;
-    }
-  in
-  List.iter
-    (fun f ->
-      insert_fact t f;
-      t.fp <- Int64.logxor t.fp (fact_hash f))
-    (Database.facts db);
-  t
-
+let fingerprint_of db = Printf.sprintf "%016Lx" (fingerprint_bits db)
+let create db = { db; version = 0; fp = fingerprint_bits db }
 let db t = t.db
 let version t = t.version
 let fingerprint t = Printf.sprintf "%016Lx" t.fp
@@ -213,74 +30,9 @@ let apply t deltas =
   List.iter
     (fun d ->
       (match d with
-      | Delta.Insert f ->
-        t.db <- Database.add t.db f;
-        insert_fact t f
-      | Delta.Delete f ->
-        t.db <- Database.remove t.db f;
-        delete_fact t f);
+      | Delta.Insert f -> t.db <- Database.add t.db f
+      | Delta.Delete f -> t.db <- Database.remove t.db f);
       t.fp <- Int64.logxor t.fp (fact_hash (Delta.fact_of d));
       t.version <- t.version + 1)
     eff;
   eff
-
-(* ---- interned views -------------------------------------------------- *)
-
-let id_of t v = VDict.find_opt t.dict v
-let value_of t id = VDict.value t.dict id
-let intern t v = VDict.intern t.dict v
-
-let adj t rel =
-  let s = shadow_of t rel 2 in
-  match s.adj with
-  | Some a -> a
-  | None ->
-    let a = build_adj t s in
-    s.adj <- Some a;
-    a
-
-(* ---- compiling the shadow ------------------------------------------- *)
-
-let compiled t (q : Res_cq.Query.t) =
-  if Eval.use_legacy () || not (Eval.columnar_eligible q) then None
-  else begin
-    let module I = Res_col.Instance in
-    let rels =
-      List.map
-        (fun r ->
-          let ar = Res_cq.Query.arity_of q r in
-          match Hashtbl.find_opt t.shadows (r, ar) with
-          | None -> (r, { I.arity = ar; col0 = [||]; col1 = [||] })
-          | Some s ->
-            let m = s.n_live in
-            let col0 = Array.make (max m 1) 0 in
-            let col1 = if ar = 2 then Array.make (max m 1) 0 else [||] in
-            let j = ref 0 in
-            for tid = 0 to s.n - 1 do
-              if is_live s tid then begin
-                col0.(!j) <- s.col0.(tid);
-                if ar = 2 then col1.(!j) <- s.col1.(tid);
-                incr j
-              end
-            done;
-            let col0 = if m = Array.length col0 then col0 else Array.sub col0 0 m in
-            let col1 =
-              if ar = 2 && m <> Array.length col1 then Array.sub col1 0 m else col1
-            in
-            (r, { I.arity = ar; col0; col1 }))
-        (Res_cq.Query.relations q)
-    in
-    let inst = I.make q ~n:(VDict.size t.dict) rels in
-    I.reduce inst;
-    Some inst
-  end
-
-let sat t q =
-  match compiled t q with
-  | Some inst -> Res_col.Instance.sat inst
-  | None -> Eval.sat t.db q
-
-let count t q =
-  match compiled t q with
-  | Some inst -> Res_col.Instance.count inst
-  | None -> Eval.count t.db q

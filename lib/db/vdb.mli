@@ -1,11 +1,8 @@
-(** Versioned database with an incrementally patched columnar shadow.
+(** Versioned database.
 
     The streaming tier's view of a database: an immutable {!Database.t}
-    snapshot (consumed unchanged by every from-scratch solver) plus interned
-    columns maintained in place per delta — stable dict ids, per-relation
-    column arrays with a liveness bitmap, and {!Res_col.Dyncsr} adjacency for
-    binary relations.  Compiling into a {!Res_col.Instance} skips the
-    interning pass, the dominant cost of [Eval.compile] on large instances.
+    snapshot (consumed unchanged by every solver) that advances per delta
+    batch, with a version and a content fingerprint.
 
     The version counts effective deltas; the fingerprint is an
     order-independent XOR of per-fact FNV-1a hashes, maintained in O(1) per
@@ -33,22 +30,4 @@ val fingerprint_of : Database.t -> string
 val apply : t -> Delta.t list -> Delta.t list
 (** Apply a batch in order, returning the effective subsequence (inserts of
     present facts and deletes of absent ones are dropped).  The snapshot,
-    version, fingerprint, and columnar shadow all advance together. *)
-
-val sat : t -> Res_cq.Query.t -> bool
-(** Satisfaction via the shadow (falls back to [Eval.sat] on the snapshot
-    when the query is not columnar-eligible or the legacy plane is forced). *)
-
-val count : t -> Res_cq.Query.t -> int
-
-val compiled : t -> Res_cq.Query.t -> Res_col.Instance.t option
-(** Compile the shadow into a reduced columnar instance without
-    re-interning.  [None] when ineligible (legacy plane / arity > 2). *)
-
-val adj : t -> string -> Res_col.Dyncsr.t
-(** Incremental adjacency of a binary relation over interned ids (built on
-    first use, then patched per delta). *)
-
-val id_of : t -> Value.t -> int option
-val value_of : t -> int -> Value.t
-val intern : t -> Value.t -> int
+    version and fingerprint advance together. *)

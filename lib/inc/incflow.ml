@@ -21,9 +21,10 @@ module Q = Res_cq.Query
    endogenous relation puts one fact on several edges, where a cut can
    double-count; those queries take the recompute path instead.)
 
-   The [Eval.reduce] semijoin pre-pass of the from-scratch path is skipped:
-   it only shrinks the network, never changes its max-flow value, and an
-   incremental structure cannot afford a global pruning pass per delta. *)
+   The semijoin reduction of the from-scratch path ([Eval.view_live]) is
+   skipped: it only shrinks the network, never changes its max-flow value,
+   and an incremental structure cannot afford a global pruning pass per
+   delta. *)
 
 type t = {
   q : Q.t;

@@ -33,7 +33,8 @@ let default_config address =
 
 (* A one-shot synchronization cell: the connection thread blocks on
    [read] while the worker [fill]s the response, preserving one-request-
-   at-a-time ordering per connection. *)
+   at-a-time ordering per connection.  The first fill wins; [fill]
+   reports whether it was the one. *)
 module Ivar = struct
   type 'a t = { m : Mutex.t; c : Condition.t; mutable v : 'a option }
 
@@ -41,8 +42,12 @@ module Ivar = struct
 
   let fill t x =
     Mutex.protect t.m (fun () ->
-        t.v <- Some x;
-        Condition.signal t.c)
+        t.v = None
+        && begin
+             t.v <- Some x;
+             Condition.signal t.c;
+             true
+           end)
 
   let read t =
     Mutex.lock t.m;
@@ -199,14 +204,26 @@ let run_solve t ~kind ~deadline instances fill =
     count t kind (if any_timeout then "timeout" else "ok");
     fill (Protocol.ok (String.concat " ;; " (List.map Protocol.batch_item outcomes)))
 
-let submit_lane t ~kind ~lane job =
+(* Every lane job goes through here, and every admitted job answers
+   exactly once: an exception escaping the job fills the reply with
+   [error "internal: <exn>"] instead of leaving the connection blocked on
+   the ivar.  [busy] and [error] encode the shed and internal-error
+   replies for the wire format at hand (text lines by default). *)
+let submit_lane ?(busy = Fun.id) ?(error = Protocol.error) t ~kind ~lane job =
   let ivar = Ivar.create () in
-  match Lanes.submit t.lanes lane (fun () -> job (Ivar.fill ivar)) with
+  let run () =
+    try job (fun reply -> ignore (Ivar.fill ivar reply))
+    with exn ->
+      let msg = Printexc.to_string exn in
+      Log.err (fun m -> m "%s job raised: %s" kind msg);
+      if Ivar.fill ivar (error ("internal: " ^ msg)) then count t kind "internal_error"
+  in
+  match Lanes.submit t.lanes lane run with
   | Lanes.Queued -> Ivar.read ivar
   | Lanes.Busy { depth; capacity } ->
     count t kind "rejected";
     Metrics.inc (Metrics.counter t.metrics ("lane." ^ Lanes.lane_name lane ^ ".shed"));
-    Protocol.busy ~lane:(Lanes.lane_name lane) ~depth ~capacity
+    busy (Protocol.busy ~lane:(Lanes.lane_name lane) ~depth ~capacity)
 
 let submit_solve t ~kind ~timeout_ms body_lines =
   match
@@ -299,20 +316,12 @@ let execute_frame t payload =
     ignore timeout_ms;
     count t "bulk" "error";
     Frame.encode_reply (Frame.Error "bulk: no instance given")
-  | Ok (Frame.Bulk { timeout_ms; instances }) -> begin
+  | Ok (Frame.Bulk { timeout_ms; instances }) ->
     let lane = lane_for t instances in
     let deadline = deadline_of t ~lane timeout_ms in
-    let ivar = Ivar.create () in
-    match
-      Lanes.submit t.lanes lane (fun () -> run_bulk t ~deadline instances (Ivar.fill ivar))
-    with
-    | Lanes.Queued -> Ivar.read ivar
-    | Lanes.Busy { depth; capacity } ->
-      count t "bulk" "rejected";
-      Metrics.inc (Metrics.counter t.metrics ("lane." ^ Lanes.lane_name lane ^ ".shed"));
-      Frame.encode_reply
-        (Frame.Error (Protocol.busy ~lane:(Lanes.lane_name lane) ~depth ~capacity))
-  end
+    let frame_error msg = Frame.encode_reply (Frame.Error msg) in
+    submit_lane ~busy:frame_error ~error:frame_error t ~kind:"bulk" ~lane (fun fill ->
+        run_bulk t ~deadline instances fill)
 
 (* --- the streaming (watch) tier ----------------------------------------- *)
 

@@ -12,6 +12,9 @@
       with the request deadline and the server's stop flag is threaded
       into the engine, so NP-hard searches abort cooperatively and answer
       [timeout bound=...] with the best sound upper bound found;
+    - a solve that raises still answers exactly once, with
+      [error internal: <exception>], counted as
+      [requests.<kind>.internal_error], and its connection stays usable;
     - {!stop} is graceful: the listener closes, in-flight solves are
       cancelled (their clients still get a [timeout] answer), queued jobs
       drain, and every thread is joined.

@@ -1,16 +1,15 @@
 (* Differential testing of the columnar data plane (lib/col + the Eval
-   fast path) against the legacy structural evaluator, which stays in
-   the tree as the executable specification.  Four layers:
+   fast path) against the backtracking join ([Eval.backtracking_witnesses]),
+   the plane arity > 2 queries run on.  Four layers:
 
    - primitive laws: Dict round-trips, galloping intersection against
      the two-pointer reference, CSR build determinism under input
      shuffling;
    - witness-level differentials: on random binary ssj-CQs × random
-     databases the two planes must produce the same canonical witness
-     list, the same count and the same sat verdict;
-   - solver-level differentials: [Solver] values must agree across
-     planes on the paper's query zoo, sequentially and on a 4-domain
-     pool;
+     databases the columnar witness list, count and sat verdict must
+     match the backtracking join's;
+   - solver-level differential: [Solver] values on a 4-domain pool
+     must equal the exact resilience on the paper's query zoo;
    - semijoin soundness: [Eval.reduce] never changes the witness set.
 
    Together the qcheck properties run well over 500 differential
@@ -22,16 +21,6 @@ module Sorted = Res_col.Sorted
 module Csr = Res_col.Csr
 
 let qp = Res_cq.Parser.query
-
-let with_legacy f =
-  let saved = Eval.use_legacy () in
-  Eval.set_legacy true;
-  Fun.protect ~finally:(fun () -> Eval.set_legacy saved) f
-
-let with_columnar f =
-  let saved = Eval.use_legacy () in
-  Eval.set_legacy false;
-  Fun.protect ~finally:(fun () -> Eval.set_legacy saved) f
 
 (* Both planes canonicalize, so witness lists compare structurally. *)
 let witness_repr (w : Eval.witness) =
@@ -169,22 +158,21 @@ let prop_csr_mem_tid =
 
 let prop_witness_differential =
   QCheck.Test.make ~count:300
-    ~name:"differential: columnar witnesses/count/sat = legacy on random binary CQs"
+    ~name:"differential: columnar witnesses/count/sat = backtracking join on random binary CQs"
     QCheck.(int_bound 10_000_000)
     (fun seed ->
       let st = Random.State.make [| seed; 71 |] in
       let q = random_binary_query st in
       let db = random_db_for st q in
-      let col_ws = with_columnar (fun () -> Eval.witnesses db q) in
-      let leg_ws = with_legacy (fun () -> Eval.witnesses db q) in
-      if not (witnesses_equal col_ws leg_ws) then
+      let col_ws = Eval.witnesses db q in
+      let ref_ws = Eval.backtracking_witnesses db q in
+      if not (witnesses_equal col_ws ref_ws) then
         QCheck.Test.fail_reportf "witness lists differ (%d vs %d)" (List.length col_ws)
-          (List.length leg_ws);
-      let col_n = with_columnar (fun () -> Eval.count db q) in
-      let leg_n = with_legacy (fun () -> Eval.count db q) in
-      if col_n <> leg_n then QCheck.Test.fail_reportf "counts differ (%d vs %d)" col_n leg_n;
-      if with_columnar (fun () -> Eval.sat db q) <> with_legacy (fun () -> Eval.sat db q) then
-        QCheck.Test.fail_report "sat differs";
+          (List.length ref_ws);
+      let col_n = Eval.count db q in
+      if col_n <> List.length ref_ws then
+        QCheck.Test.fail_reportf "counts differ (%d vs %d)" col_n (List.length ref_ws);
+      if Eval.sat db q <> (ref_ws <> []) then QCheck.Test.fail_report "sat differs";
       true)
 
 let prop_reduce_sound =
@@ -198,8 +186,8 @@ let prop_reduce_sound =
       let reduced = Eval.reduce db q in
       if Database.size reduced > Database.size db then
         QCheck.Test.fail_report "reduce grew the database";
-      let ws = with_legacy (fun () -> Eval.witnesses db q) in
-      let ws' = with_legacy (fun () -> Eval.witnesses reduced q) in
+      let ws = Eval.backtracking_witnesses db q in
+      let ws' = Eval.backtracking_witnesses reduced q in
       if not (witnesses_equal ws ws') then QCheck.Test.fail_report "witness set changed";
       (* every surviving tuple is a genuine subset of the original *)
       List.for_all (fun f -> Database.mem db f) (Database.facts reduced))
@@ -216,62 +204,51 @@ let solve_value ?pool db q =
     match s with Solution.Unbreakable -> None | Solution.Finite (v, _) -> Some v)
   | Solver.Timeout _ -> Alcotest.fail "unexpected timeout without a cancel token"
 
-let prop_solver_differential =
-  QCheck.Test.make ~count:150
-    ~name:"differential: solver values agree across planes on the binary zoo"
-    QCheck.(int_bound 10_000_000)
-    (fun seed ->
-      let zoo = Lazy.force binary_zoo in
-      let en = List.nth zoo (seed mod List.length zoo) in
-      let st = Random.State.make [| seed; 131 |] in
-      let db = random_db_for st en.query in
-      let col = with_columnar (fun () -> solve_value db en.query) in
-      let leg = with_legacy (fun () -> solve_value db en.query) in
-      if col <> leg then
-        QCheck.Test.fail_reportf "%s: columnar=%s legacy=%s" en.name
-          (match col with None -> "unbreakable" | Some v -> string_of_int v)
-          (match leg with None -> "unbreakable" | Some v -> string_of_int v);
-      true)
-
 let prop_solver_differential_pool =
   QCheck.Test.make ~count:60
-    ~name:"differential: columnar plane under a 4-domain pool = legacy sequential"
+    ~name:"differential: columnar plane under a 4-domain pool = exact"
     QCheck.(int_bound 10_000_000)
     (fun seed ->
       let zoo = Lazy.force binary_zoo in
       let en = List.nth zoo (seed mod List.length zoo) in
       let st = Random.State.make [| seed; 151 |] in
       let db = random_db_for st en.query in
-      let col =
-        Res_exec.Executor.with_executor ~jobs:4 (fun pool ->
-            with_columnar (fun () -> solve_value ~pool db en.query))
-      in
-      let leg = with_legacy (fun () -> solve_value db en.query) in
-      col = leg)
+      let col = Res_exec.Executor.with_executor ~jobs:4 (fun pool -> solve_value ~pool db en.query) in
+      col = Exact.value db en.query)
 
 (* --- adversarial unit cases ---------------------------------------------- *)
 
-let both_planes name db q k =
-  let col = with_columnar (fun () -> k db q) in
-  let leg = with_legacy (fun () -> k db q) in
-  Alcotest.(check bool) (name ^ ": planes agree") true (col = leg);
+(* [k] on the columnar plane, checked against the same statistic of the
+   backtracking join's witness list *)
+let both_planes name db q k of_witnesses =
+  let col = k db q in
+  Alcotest.(check bool) (name ^ ": planes agree") true
+    (col = of_witnesses (Eval.backtracking_witnesses db q));
   col
+
+let planes_sat name db q = both_planes name db q Eval.sat (fun ws -> ws <> [])
+let planes_count name db q = both_planes name db q Eval.count List.length
+
+let planes_witnesses name db q =
+  both_planes name db q
+    (fun db q -> List.map witness_repr (Eval.witnesses db q))
+    (List.map witness_repr)
 
 let adversarial_empty_relation () =
   let q = qp "R(x,y), S(y,z)" in
   let db = Database.of_int_rows [ ("R", [ [ 1; 2 ] ]) ] (* S absent *) in
-  Alcotest.(check bool) "unsat" false (both_planes "empty" db q Eval.sat);
-  Alcotest.(check int) "count 0" 0 (both_planes "empty" db q Eval.count);
+  Alcotest.(check bool) "unsat" false (planes_sat "empty" db q);
+  Alcotest.(check int) "count 0" 0 (planes_count "empty" db q);
   Alcotest.(check int) "no witnesses" 0
-    (List.length (both_planes "empty" db q (fun db q -> Eval.witnesses db q)))
+    (List.length (planes_witnesses "empty" db q))
 
 let adversarial_self_loop () =
   let q = qp "R(x,x)" in
   let db = Database.of_int_rows [ ("R", [ [ 3; 3 ]; [ 1; 2 ]; [ 2; 2 ] ]) ] in
-  let ws = both_planes "diag" db q (fun db q -> Eval.witnesses db q) in
+  let ws = planes_witnesses "diag" db q in
   Alcotest.(check int) "two diagonal witnesses" 2 (List.length ws);
   let q2 = qp "R(x,x), R(x,y)" in
-  Alcotest.(check int) "diag join" 2 (both_planes "diag-join" db q2 Eval.count)
+  Alcotest.(check int) "diag join" 2 (planes_count "diag-join" db q2)
 
 let adversarial_duplicates () =
   let q = qp "R(x,y)" in
@@ -280,7 +257,7 @@ let adversarial_duplicates () =
     |> fun db -> Database.add_row db "R" [ Value.i 1; Value.i 2 ]
     |> fun db -> Database.add_row db "R" [ Value.i 1; Value.i 2 ]
   in
-  Alcotest.(check int) "set semantics" 1 (both_planes "dup" db q Eval.count)
+  Alcotest.(check int) "set semantics" 1 (planes_count "dup" db q)
 
 let adversarial_structured_values () =
   let q = qp "R(x,y), S(y,z)" in
@@ -289,14 +266,14 @@ let adversarial_structured_values () =
   let db =
     Database.of_rows [ ("R", [ [ v1; v2 ] ]); ("S", [ [ v2; v3 ]; [ v1; v1 ] ]) ]
   in
-  let ws = both_planes "structured" db q (fun db q -> Eval.witnesses db q) in
+  let ws = planes_witnesses "structured" db q in
   Alcotest.(check int) "one witness through the pair" 1 (List.length ws)
 
 let adversarial_singleton_domain () =
   let q = qp "R(x,y), R(y,z), A(x)" in
   let db = Database.of_int_rows [ ("R", [ [ 0; 0 ] ]); ("A", [ [ 0 ] ]) ] in
-  Alcotest.(check int) "single witness" 1 (both_planes "singleton" db q Eval.count);
-  Alcotest.(check bool) "sat" true (both_planes "singleton" db q Eval.sat)
+  Alcotest.(check int) "single witness" 1 (planes_count "singleton" db q);
+  Alcotest.(check bool) "sat" true (planes_sat "singleton" db q)
 
 let adversarial_wrong_arity () =
   let q = qp "R(x,y)" in
@@ -306,7 +283,7 @@ let adversarial_wrong_arity () =
     Database.of_rows
       [ ("R", [ [ Value.i 1 ]; [ Value.i 1; Value.i 2 ]; [ Value.i 1; Value.i 2; Value.i 3 ] ]) ]
   in
-  Alcotest.(check int) "only the binary row matches" 1 (both_planes "arity" db q Eval.count);
+  Alcotest.(check int) "only the binary row matches" 1 (planes_count "arity" db q);
   let reduced = Eval.reduce db q in
   Alcotest.(check bool) "wrong-arity rows survive reduce" true
     (Database.mem reduced (Database.fact "R" [ Value.i 1 ])
@@ -314,9 +291,7 @@ let adversarial_wrong_arity () =
 
 let adversarial_reduce_prunes () =
   (* a long dangling R-chain into a tiny S: the fixpoint must strip the
-     dangling prefix tuples that no witness can extend.  [Eval.reduce] is
-     the identity on the legacy plane, so force columnar explicitly. *)
-  with_columnar @@ fun () ->
+     dangling prefix tuples that no witness can extend. *)
   let q = qp "R(x,y), S(y,z)" in
   let chain = List.init 50 (fun i -> [ i; i + 1 ]) in
   let db = Database.of_int_rows [ ("R", chain); ("S", [ [ 50; 99 ] ]) ] in
@@ -328,12 +303,15 @@ let adversarial_higher_arity_fallback () =
   let en = Zoo.find "q_tripod" in
   Alcotest.(check bool) "tripod is not columnar-eligible" false
     (Eval.columnar_eligible en.query);
-  (* the surface must still work — it just runs legacy *)
+  (* the surface must still work — it runs the backtracking join, and
+     [reduce] is the identity there *)
   let db =
     Database.of_int_rows
       [ ("A", [ [ 1 ] ]); ("B", [ [ 2 ] ]); ("C", [ [ 3 ] ]); ("W", [ [ 1; 2; 3 ] ]) ]
   in
-  Alcotest.(check int) "tripod witness" 1 (Eval.count db en.query)
+  Alcotest.(check int) "tripod witness" 1 (Eval.count db en.query);
+  Alcotest.(check bool) "no columnar view" true (Option.is_none (Eval.view db en.query));
+  Alcotest.(check bool) "reduce is the identity" true (Eval.reduce db en.query == db)
 
 let generator_exact_counts () =
   let db = Db_gen.power_law ~seed:11 ~nodes:200 ~edges:3_000 ~rel:"R" in
@@ -368,7 +346,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_csr_mem_tid;
     QCheck_alcotest.to_alcotest prop_witness_differential;
     QCheck_alcotest.to_alcotest prop_reduce_sound;
-    QCheck_alcotest.to_alcotest prop_solver_differential;
     QCheck_alcotest.to_alcotest prop_solver_differential_pool;
     Alcotest.test_case "adversarial: empty/missing relation" `Quick adversarial_empty_relation;
     Alcotest.test_case "adversarial: self-loops and diagonal atoms" `Quick adversarial_self_loop;

@@ -5,8 +5,8 @@
      dispatcher should route them to;
    - a >=300-instance qcheck differential: on random self-join-free
      queries of arity 1..4 the dispatcher-routed solver must agree with
-     the exact solver, on both evaluation planes (columnar/default and
-     forced-legacy structural);
+     the exact solver (arity <= 2 queries run on the columnar plane,
+     the rest on the backtracking join);
    - responsibility: the solver entry point must agree with the
      brute-force definition (smallest Γ with D−Γ ⊨ q, D−Γ−{t} ⊭ q), and
      the engine's cached path must agree with the uncached baseline;
@@ -56,14 +56,6 @@ let general_family_verdict_is_heuristic () =
 
 (* --- the any-arity sjf differential -------------------------------------- *)
 
-(* Solve on a chosen evaluation plane, restoring the ambient plane after. *)
-let value_on_plane ~legacy db query =
-  let saved = Eval.use_legacy () in
-  Eval.set_legacy legacy;
-  Fun.protect
-    ~finally:(fun () -> Eval.set_legacy saved)
-    (fun () -> Solver.value db query)
-
 let prop_sjf_differential =
   QCheck.Test.make ~count:320
     ~name:"family: dispatcher = exact on random sjf queries of arity 1-4, both planes"
@@ -73,11 +65,8 @@ let prop_sjf_differential =
       let max_arity = 1 + Random.State.int st 4 in
       let query = Generators.random_sjf_query ~max_arity st in
       let db = Generators.random_db ~seed ~domain:3 ~tuples_per_relation:4 query in
-      let expected = Exact.value db query in
-      if value_on_plane ~legacy:false db query <> expected then
-        QCheck.Test.fail_report "columnar/default plane disagrees with exact";
-      if value_on_plane ~legacy:true db query <> expected then
-        QCheck.Test.fail_report "legacy plane disagrees with exact";
+      if Solver.value db query <> Exact.value db query then
+        QCheck.Test.fail_report "dispatcher disagrees with exact";
       true)
 
 let sjf_instances_route_through_dispatcher () =

@@ -1,32 +1,29 @@
-(* Differential testing of the columnar PTIME solver kernels (PR 9):
+(* Differential testing of the columnar PTIME solver kernels:
    [Flow.solve] and [Special]'s Pairs/APerm/Z3 strategies build their
    flow networks and bipartite cover graphs on interned ids through
-   [Eval.view] + [Res_col.Flowbuild]/[Res_col.Matchbuild]; the
-   structural graph builders stay in the tree behind
-   [RES_COL_KERNELS=0] as the executable specification.  Four layers:
+   [Eval.view] + [Res_col.Flowbuild]/[Res_col.Matchbuild].  The
+   reference is the exact branch-and-bound solver ([Exact.value]).
+   Four layers:
 
-   - solver-level qcheck differentials: kernel and structural paths
-     must agree on resilience values across the binary zoo × random
-     databases, sequentially and on a 4-domain pool;
+   - solver-level qcheck differentials: kernel values must equal the
+     exact resilience across the binary zoo × random databases,
+     sequentially and on a 4-domain pool;
    - strategy-level differentials: Flow and each Special strategy
      compared directly on its own template, with the returned
-     contingency set checked to falsify the query on both paths;
+     contingency set checked to falsify the query;
    - the [Tuning.minimalize] counting rewrite against the reference
      sat-per-step greedy pass ([Tuning.minimalize_greedy]);
    - adversarial units: repeated-variable atoms R(x,x), exogenous
      relations and per-fact exogenity, multi-component databases,
      empty cuts, unbreakable instances — plus [Db_gen] family
-     instances solved at jobs 1 and 4. *)
+     instances, too large for the exact solver, solved at jobs 1 and 4
+     against values pinned when the structural graph builders still
+     cross-checked the kernels. *)
 
 open Res_db
 open Resilience
 
 let qp = Res_cq.Parser.query
-
-let with_kernels on f =
-  let saved = Eval.use_kernels () in
-  Eval.set_kernels on;
-  Fun.protect ~finally:(fun () -> Eval.set_kernels saved) f
 
 let value_str = function None -> "unbreakable" | Some v -> string_of_int v
 
@@ -56,23 +53,23 @@ let random_db_for st q =
 
 let prop_solver_zoo =
   QCheck.Test.make ~count:150
-    ~name:"differential: kernel solver values = structural across the binary zoo"
+    ~name:"differential: kernel solver values = exact across the binary zoo"
     QCheck.(int_bound 10_000_000)
     (fun seed ->
       let zoo = Lazy.force binary_zoo in
       let en = List.nth zoo (seed mod List.length zoo) in
       let st = Random.State.make [| seed; 977 |] in
       let db = random_db_for st en.query in
-      let ker = with_kernels true (fun () -> solve_value db en.query) in
-      let str = with_kernels false (fun () -> solve_value db en.query) in
-      if ker <> str then
-        QCheck.Test.fail_reportf "%s: kernel=%s structural=%s" en.name (value_str ker)
-          (value_str str);
+      let ker = solve_value db en.query in
+      let exact = Exact.value db en.query in
+      if ker <> exact then
+        QCheck.Test.fail_reportf "%s: kernel=%s exact=%s" en.name (value_str ker)
+          (value_str exact);
       true)
 
 let prop_solver_zoo_pool =
   QCheck.Test.make ~count:60
-    ~name:"differential: kernel path under a 4-domain pool = structural sequential"
+    ~name:"differential: kernel path under a 4-domain pool = exact"
     QCheck.(int_bound 10_000_000)
     (fun seed ->
       let zoo = Lazy.force binary_zoo in
@@ -80,30 +77,26 @@ let prop_solver_zoo_pool =
       let st = Random.State.make [| seed; 991 |] in
       let db = random_db_for st en.query in
       let ker =
-        Res_exec.Executor.with_executor ~jobs:4 (fun pool ->
-            with_kernels true (fun () -> solve_value ~pool db en.query))
+        Res_exec.Executor.with_executor ~jobs:4 (fun pool -> solve_value ~pool db en.query)
       in
-      let str = with_kernels false (fun () -> solve_value db en.query) in
-      ker = str)
+      ker = Exact.value db en.query)
 
 (* --- strategy-level differentials ---------------------------------------- *)
 
-(* run one strategy on both paths; values must agree and both
-   contingency sets must falsify *)
-let both_paths name db q solve =
-  let ker = with_kernels true (fun () -> solve db q) in
-  let str = with_kernels false (fun () -> solve db q) in
-  check_falsifies (name ^ " (kernel)") db q ker;
-  check_falsifies (name ^ " (structural)") db q str;
-  if Solution.value ker <> Solution.value str then
-    Alcotest.failf "%s: kernel=%s structural=%s" name
-      (value_str (Solution.value ker))
-      (value_str (Solution.value str));
+(* run one strategy: its value must be the exact resilience and its
+   contingency set must falsify the query *)
+let against_exact name db q solve =
+  let ker = solve db q in
+  check_falsifies name db q ker;
+  let exact = Exact.value db q in
+  if Solution.value ker <> exact then
+    Alcotest.failf "%s: kernel=%s exact=%s" name (value_str (Solution.value ker))
+      (value_str exact);
   ker
 
 let prop_flow_kernel =
   QCheck.Test.make ~count:120
-    ~name:"differential: Flow kernel = structural on linear queries"
+    ~name:"differential: Flow kernel = exact on linear queries"
     QCheck.(int_bound 10_000_000)
     (fun seed ->
       let queries =
@@ -123,12 +116,12 @@ let prop_flow_kernel =
         | Some s -> s
         | None -> Alcotest.fail "query should be linear"
       in
-      ignore (both_paths "flow" db q solve);
+      ignore (against_exact "flow" db q solve);
       true)
 
 let prop_special_kernels =
   QCheck.Test.make ~count:120
-    ~name:"differential: Special Pairs/APerm/Z3 kernels = structural"
+    ~name:"differential: Special Pairs/APerm/Z3 kernels = exact"
     QCheck.(int_bound 10_000_000)
     (fun seed ->
       let cases =
@@ -149,7 +142,7 @@ let prop_special_kernels =
           ~tuples_per_relation:(Random.State.int st 40)
           q
       in
-      ignore (both_paths name db q solve);
+      ignore (against_exact name db q solve);
       true)
 
 (* --- the minimalize counting rewrite ------------------------------------- *)
@@ -192,53 +185,54 @@ let prop_minimalize_counting =
 
 (* --- Db_gen families at jobs 1 and 4 ------------------------------------- *)
 
+(* each instance with the resilience the kernel and structural builders
+   agreed on *)
 let family_instances () =
   let n = 2_000 in
   let k = n / 5 in
   [
-    ("perm", qp "R(x,y), R(y,x)", Db_gen.power_law ~seed:3 ~nodes:k ~edges:n ~rel:"R");
+    ("perm", qp "R(x,y), R(y,x)", Db_gen.power_law ~seed:3 ~nodes:k ~edges:n ~rel:"R", 58);
     ( "aperm",
       qp "A(x), R(x,y), R(y,x)",
       Database.union
         (Db_gen.power_law ~seed:5 ~nodes:k ~edges:(n - k) ~rel:"R")
-        (Db_gen.unary ~count:k ~rel:"A") );
+        (Db_gen.unary ~count:k ~rel:"A"),
+      45 );
     ( "linear",
       qp "A(x), R(x,y), B(y)",
       Database.union
         (Db_gen.bipartite ~seed:7 ~left:k ~right:k ~edges:(n - (2 * k)) ~rel:"R")
         (Database.union
            (Db_gen.unary ~count:k ~rel:"A")
-           (Database.of_rows [ ("B", List.init k (fun i -> [ Value.i (k + i) ])) ])) );
+           (Database.of_rows [ ("B", List.init k (fun i -> [ Value.i (k + i) ])) ])),
+      372 );
     ( "ac_conf",
       qp "A(x), R(x,y), R(z,y), C(z)",
       Database.union
         (Db_gen.bipartite ~seed:11 ~left:k ~right:k ~edges:(n - (2 * k)) ~rel:"R")
         (Database.union
            (Db_gen.unary ~count:k ~rel:"A")
-           (Database.of_rows [ ("C", List.init k (fun i -> [ Value.i i ]) ) ])) );
+           (Database.of_rows [ ("C", List.init k (fun i -> [ Value.i i ]) ) ])),
+      377 );
     ( "z3",
       qp "R(x,x), R(x,y), A(y)",
       Database.union
         (Db_gen.power_law ~seed:13 ~nodes:k ~edges:(n - k - (k / 4)) ~rel:"R")
         (Database.union
            (Database.of_rows [ ("R", List.init (k / 4) (fun i -> [ Value.i i; Value.i i ])) ])
-           (Db_gen.unary ~count:k ~rel:"A")) );
+           (Db_gen.unary ~count:k ~rel:"A")),
+      101 );
   ]
 
 let db_gen_families_jobs () =
   List.iter
-    (fun (name, q, db) ->
-      let ker = with_kernels true (fun () -> solve_value db q) in
-      let str = with_kernels false (fun () -> solve_value db q) in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: kernel %s = structural %s at jobs 1" name (value_str ker)
-           (value_str str))
-        true (ker = str);
+    (fun (name, q, db, pinned) ->
+      let ker = solve_value db q in
+      Alcotest.(check (option int)) (name ^ ": pinned value at jobs 1") (Some pinned) ker;
       let ker4 =
-        Res_exec.Executor.with_executor ~jobs:4 (fun pool ->
-            with_kernels true (fun () -> solve_value ~pool db q))
+        Res_exec.Executor.with_executor ~jobs:4 (fun pool -> solve_value ~pool db q)
       in
-      Alcotest.(check bool) (name ^ ": jobs 4 = jobs 1") true (ker4 = ker))
+      Alcotest.(check (option int)) (name ^ ": jobs 4 = jobs 1") ker ker4)
     (family_instances ())
 
 (* --- adversarial units --------------------------------------------------- *)
@@ -251,7 +245,7 @@ let adversarial_repeated_variable () =
     Database.of_int_rows
       [ ("R", [ [ 1; 1 ]; [ 1; 2 ]; [ 2; 2 ]; [ 3; 4 ] ]); ("S", [ [ 1; 9 ]; [ 2; 9 ] ]) ]
   in
-  let s = both_paths "diag" db q (fun db q -> Flow.solve_exn db q) in
+  let s = against_exact "diag" db q (fun db q -> Flow.solve_exn db q) in
   Alcotest.(check (option int)) "two independent witnesses" (Some 2) (Solution.value s)
 
 let adversarial_exogenous_relation () =
@@ -261,15 +255,15 @@ let adversarial_exogenous_relation () =
   let db =
     Database.of_int_rows [ ("A", [ [ 1 ] ]); ("R", [ [ 1; 2 ] ]); ("B", [ [ 2 ] ]) ]
   in
-  let s = both_paths "exo-rel" db q (fun db q -> Flow.solve_exn db q) in
+  let s = against_exact "exo-rel" db q (fun db q -> Flow.solve_exn db q) in
   Alcotest.(check (option int)) "cut through R or B" (Some 1) (Solution.value s);
   let q_all = qp "A^x(x), R^x(x,y), B^x(y)" in
-  let s = both_paths "exo-all" db q_all (fun db q -> Flow.solve_exn db q) in
+  let s = against_exact "exo-all" db q_all (fun db q -> Flow.solve_exn db q) in
   Alcotest.(check bool) "unbreakable" true (s = Solution.Unbreakable)
 
 let adversarial_fact_exogenous () =
-  (* per-fact exogenity (the Prop 36 off-diagonal trick) must agree
-     across paths *)
+  (* per-fact exogenity (the Prop 36 off-diagonal trick) keeps the
+     exact value *)
   let q = qp "R(x,x), R(x,y), A(y)" in
   let db =
     Database.of_int_rows
@@ -279,7 +273,7 @@ let adversarial_fact_exogenous () =
     f.rel = "R" && match f.tuple with [ a; b ] -> not (Value.equal a b) | _ -> false
   in
   let solve db q = Flow.solve_exn ~fact_exogenous:off_diag db q in
-  ignore (both_paths "fact-exo" db q solve)
+  ignore (against_exact "fact-exo" db q solve)
 
 let adversarial_multi_component () =
   (* two disconnected blocks: the cut must break both *)
@@ -293,20 +287,20 @@ let adversarial_multi_component () =
       ]
   in
   let db = Database.union (block 10) (block 20) in
-  let s = both_paths "components" db q (fun db q -> Flow.solve_exn db q) in
+  let s = against_exact "components" db q (fun db q -> Flow.solve_exn db q) in
   Alcotest.(check (option int)) "one A-fact per block" (Some 2) (Solution.value s)
 
 let adversarial_empty_cut () =
-  (* unsatisfied query: resilience 0, empty contingency set, on both
-     paths (the kernel path must survive an empty semijoin fixpoint) *)
+  (* unsatisfied query: resilience 0, empty contingency set (the kernel
+     path must survive an empty semijoin fixpoint) *)
   let q = qp "A(x), R(x,y), B(y)" in
   let db = Database.of_int_rows [ ("A", [ [ 1 ] ]); ("B", [ [ 9 ] ]) ] in
-  let s = both_paths "empty" db q (fun db q -> Flow.solve_exn db q) in
+  let s = against_exact "empty" db q (fun db q -> Flow.solve_exn db q) in
   Alcotest.(check bool) "finite empty" true (s = Solution.Finite (0, []));
   (* and for the Special strategies *)
   let qperm = qp "R(x,y), R(y,x)" in
   let db1 = Database.of_int_rows [ ("R", [ [ 1; 2 ]; [ 2; 3 ] ]) ] in
-  let s = both_paths "perm-empty" db1 qperm (fun db q -> Special.solve_perm ~r:"R" db q) in
+  let s = against_exact "perm-empty" db1 qperm (fun db q -> Special.solve_perm ~r:"R" db q) in
   Alcotest.(check bool) "no two-way pair" true (s = Solution.Finite (0, []))
 
 let adversarial_duplicates_and_arity () =
@@ -325,23 +319,8 @@ let adversarial_duplicates_and_arity () =
           ] );
       ]
   in
-  let s = both_paths "dup" db q (fun db q -> Special.solve_perm ~r:"R" db q) in
+  let s = against_exact "dup" db q (fun db q -> Special.solve_perm ~r:"R" db q) in
   Alcotest.(check (option int)) "pair {1,2} and loop {3}" (Some 2) (Solution.value s)
-
-let kernel_toggle_runtime () =
-  (* the escape hatch: kernels off must route Flow through the
-     structural builder and still agree end to end *)
-  let q = qp "A(x), R(x,y), B(y)" in
-  let db =
-    Database.union
-      (Db_gen.bipartite ~seed:17 ~left:60 ~right:60 ~edges:500 ~rel:"R")
-      (Database.union
-         (Db_gen.unary ~count:60 ~rel:"A")
-         (Database.of_rows [ ("B", List.init 60 (fun i -> [ Value.i (60 + i) ])) ]))
-  in
-  let ker = with_kernels true (fun () -> Solver.value db q) in
-  let str = with_kernels false (fun () -> Solver.value db q) in
-  Alcotest.(check bool) "toggle agrees" true (ker = str)
 
 let suite =
   [
@@ -350,7 +329,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_flow_kernel;
     QCheck_alcotest.to_alcotest prop_special_kernels;
     QCheck_alcotest.to_alcotest prop_minimalize_counting;
-    Alcotest.test_case "db_gen families: kernel = structural at jobs 1/4" `Slow
+    Alcotest.test_case "db_gen families: kernel = pinned values at jobs 1/4" `Slow
       db_gen_families_jobs;
     Alcotest.test_case "adversarial: repeated-variable atoms" `Quick
       adversarial_repeated_variable;
@@ -361,5 +340,4 @@ let suite =
     Alcotest.test_case "adversarial: empty cuts" `Quick adversarial_empty_cut;
     Alcotest.test_case "adversarial: duplicates and wrong arity" `Quick
       adversarial_duplicates_and_arity;
-    Alcotest.test_case "kernel toggle at runtime" `Quick kernel_toggle_runtime;
   ]

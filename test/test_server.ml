@@ -469,6 +469,60 @@ let protocol_shutdown () =
   Server.stop server;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
+(* A lane job that raises must still answer.  The engine's solve-cache
+   listener is the path a failing persistence write takes; here it always
+   raises.  The request gets one [error internal: ...] reply and the
+   connection keeps serving: the raising solve did insert its answer
+   before the listener ran, so the repeat is a cache hit.  The receive
+   timeout turns a swallowed reply into a test failure instead of a hang
+   (the server is then left running: stopping it would join the stuck
+   connection thread). *)
+let raising_listener_replies () =
+  let path = temp_socket_path () in
+  let engine = Res_engine.Batch.create () in
+  Res_engine.Batch.on_solve_insert engine (fun _ _ -> failwith "persist: disk full");
+  let server =
+    Server.start ~engine { (Server.default_config (Server.Unix_socket path)) with workers = 2 }
+  in
+  let fd, ic, oc = connect path in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let answer line =
+    match request ic oc line with
+    | reply -> reply
+    | exception (Sys_blocked_io | Sys_error _ | End_of_file | Unix.Unix_error _) ->
+      Alcotest.failf "no reply to %S within 10 s" line
+  in
+  let solve = "solve R(x,y), R(y,z) | R(1,2); R(2,3); R(3,3)" in
+  let reply = answer solve in
+  Alcotest.(check bool)
+    ("internal error reported: " ^ reply)
+    true
+    (starts_with "error internal: " reply);
+  Alcotest.(check string) "next request answered" "ok rho=2 set={R(1,2); R(3,3)} cached"
+    (answer solve);
+  (* the binary bulk path submits through the same guard *)
+  let module Frame = Res_server.Frame in
+  let inst = List.hd (Res_engine.Batch.parse_instances "A(x), R(x,y) | A(1); R(1,2)") in
+  Frame.write_frame oc (Frame.encode_request (Frame.Bulk { timeout_ms = None; instances = [ inst ] }));
+  (match Frame.read_frame ic with
+  | Ok payload -> (
+    match Frame.decode_reply payload with
+    | Ok (Frame.Error msg) ->
+      Alcotest.(check bool) ("bulk internal error: " ^ msg) true (starts_with "internal: " msg)
+    | _ -> Alcotest.fail "bulk: expected an error reply")
+  | Error msg -> Alcotest.failf "bulk: bad frame: %s" msg
+  | exception (Sys_blocked_io | Sys_error _ | End_of_file | Unix.Unix_error _) ->
+    Alcotest.fail "no bulk reply within 10 s");
+  Alcotest.(check string) "connection still serves" "ok pong" (answer "ping");
+  let kvs = Metrics.render (Server.metrics server) in
+  Alcotest.(check (option string)) "internal error counted" (Some "1")
+    (List.assoc_opt "requests.solve.internal_error" kvs);
+  Alcotest.(check (option string)) "bulk internal error counted" (Some "1")
+    (List.assoc_opt "requests.bulk.internal_error" kvs);
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  Server.stop server;
+  Server.wait server
+
 let suite =
   [
     Alcotest.test_case "metrics: counters" `Quick metrics_counters;
@@ -507,4 +561,5 @@ let suite =
     Alcotest.test_case "server: concurrent flood with deadlines" `Slow flood;
     Alcotest.test_case "server: shutdown drains watchers" `Quick shutdown_drains_watchers;
     Alcotest.test_case "server: protocol shutdown" `Quick protocol_shutdown;
+    Alcotest.test_case "server: raising lane job still replies" `Quick raising_listener_replies;
   ]
