@@ -148,12 +148,12 @@ let classify_cmd =
              ( "components",
                json_list
                  (List.map
-                    (fun (qc, fam, v) ->
+                    (fun (c : Resilience.Classify.component) ->
                       json_obj
                         [
-                          ("query", json_str (query_str qc));
-                          ("family", json_str (Resilience.Family.to_string fam));
-                          ("verdict", json_str (Resilience.Classify.verdict_to_string v));
+                          ("query", json_str (query_str c.query));
+                          ("family", json_str (Resilience.Family.to_string c.family));
+                          ("verdict", json_str (Resilience.Classify.verdict_to_string c.verdict));
                         ])
                     report.Resilience.Classify.components) );
              ("notes", json_list (List.map json_str report.Resilience.Classify.notes));

@@ -1,6 +1,5 @@
 open Res_db
 module Maxflow = Res_graph.Maxflow
-module SS = Set.Make (String)
 
 type certificate =
   | Disjoint of int list
@@ -82,40 +81,6 @@ let lp ilp =
 
 (* ---- flow dual ----------------------------------------------------- *)
 
-(* These two mirror [Flow.match_atom] / [Flow.boundaries] in the core
-   library; the core depends on this library, not the other way round,
-   so the thirty lines are duplicated rather than the dependency
-   inverted. *)
-let match_atom (a : Res_cq.Atom.t) (tuple : Database.tuple) =
-  let rec go subst args vals =
-    match (args, vals) with
-    | [], [] -> Some subst
-    | v :: args', x :: vals' -> begin
-      match List.assoc_opt v subst with
-      | Some y when Value.equal x y -> go subst args' vals'
-      | Some _ -> None
-      | None -> go ((v, x) :: subst) args' vals'
-    end
-    | _ -> None
-  in
-  go [] a.args tuple
-
-let boundaries atoms =
-  let m = Array.length atoms in
-  let vars_of i = SS.of_list (Res_cq.Atom.vars atoms.(i)) in
-  Array.init (m + 1) (fun p ->
-      if p = 0 || p = m then []
-      else begin
-        let before = ref SS.empty and after = ref SS.empty in
-        for i = 0 to p - 1 do
-          before := SS.union !before (vars_of i)
-        done;
-        for i = p to m - 1 do
-          after := SS.union !after (vars_of i)
-        done;
-        SS.elements (SS.inter !before !after)
-      end)
-
 (* Max-flow on the layered witness network is the LP dual specialized to
    linear queries: decompose the flow into unit source→sink paths, each
    path is a witness, and witnesses on distinct paths share no cap-1
@@ -128,83 +93,21 @@ let flow_dual ~order ilp =
   match (Ilp.instance_db ilp, Ilp.instance_query ilp) with
   | None, _ | _, None -> None
   | Some db, Some q ->
-    let atoms = Array.of_list order in
-    let m = Array.length atoms in
-    if m = 0 || Ilp.n_constraints ilp = 0 then None
+    if order = [] || Ilp.n_constraints ilp = 0 then None
     else begin
-      let bounds = boundaries atoms in
-      let net = Maxflow.create 2 in
-      let source = 0 and sink = 1 in
-      let node_ids : (int * Database.tuple, int) Hashtbl.t = Hashtbl.create 64 in
-      let node p key =
-        if p = 0 then source
-        else if p = m then sink
-        else begin
-          match Hashtbl.find_opt node_ids (p, key) with
-          | Some v -> v
-          | None ->
-            let v = Maxflow.add_node net in
-            Hashtbl.replace node_ids (p, key) v;
-            v
-        end
-      in
-      let out : (int, (Maxflow.edge * int) list) Hashtbl.t = Hashtbl.create 64 in
-      let edge_var : (Maxflow.edge, int) Hashtbl.t = Hashtbl.create 64 in
-      for p = 0 to m - 1 do
-        let a = atoms.(p) in
-        let exo_rel = Res_cq.Query.is_exogenous q a.rel in
-        List.iter
-          (fun tuple ->
-            match match_atom a tuple with
-            | None -> ()
-            | Some subst ->
-              let key_of vars = List.map (fun v -> List.assoc v subst) vars in
-              let src = node p (key_of bounds.(p)) in
-              let dst = node (p + 1) (key_of bounds.(p + 1)) in
-              let cap = if exo_rel then Maxflow.infinite else 1 in
-              let e = Maxflow.add_edge net ~src ~dst ~cap in
-              let prev = try Hashtbl.find out src with Not_found -> [] in
-              Hashtbl.replace out src ((e, dst) :: prev);
-              if cap = 1 then begin
-                match Ilp.var_of_fact ilp (Database.fact a.rel tuple) with
-                | Some v -> Hashtbl.replace edge_var e v
-                | None -> ()
-              end)
-          (Database.tuples_of db a.rel)
-      done;
-      let flow = Maxflow.max_flow net ~src:source ~dst:sink in
+      let net = Witness_net.create q (Array.of_list order) db in
+      Witness_net.augment net;
+      let flow = Witness_net.value net in
       if flow <= 0 || flow >= Maxflow.infinite then None
       else begin
-        (* Unit-path decomposition over the remaining flow; the network
-           is a layered DAG, so each walk terminates at the sink. *)
-        let remaining : (Maxflow.edge, int) Hashtbl.t = Hashtbl.create 64 in
-        Hashtbl.iter
-          (fun _ lst ->
-            List.iter (fun (e, _) -> Hashtbl.replace remaining e (Maxflow.flow_on net e)) lst)
-          out;
-        let paths = ref [] in
-        (try
-           for _ = 1 to flow do
-             let path_vars = ref Iset.empty in
-             let v = ref source in
-             while !v <> sink do
-               let outs = try Hashtbl.find out !v with Not_found -> [] in
-               match
-                 List.find_opt
-                   (fun (e, _) -> (try Hashtbl.find remaining e with Not_found -> 0) > 0)
-                   outs
-               with
-               | None -> raise Exit
-               | Some (e, dst) ->
-                 Hashtbl.replace remaining e (Hashtbl.find remaining e - 1);
-                 (match Hashtbl.find_opt edge_var e with
-                 | Some var -> path_vars := Iset.add var !path_vars
-                 | None -> ());
-                 v := dst
-             done;
-             paths := !path_vars :: !paths
-           done
-         with Exit -> ());
+        let paths =
+          List.map
+            (List.fold_left
+               (fun vars f ->
+                 match Ilp.var_of_fact ilp f with Some v -> Iset.add v vars | None -> vars)
+               Iset.empty)
+            (Witness_net.flow_paths net)
+        in
         (* Each path's endogenous facts contain some minimal witness:
            pick one covering constraint per path, greedily disjoint. *)
         let cs = Ilp.constraints ilp in
@@ -222,7 +125,7 @@ let flow_dual ~order ilp =
               used := Iset.union !used cs.(i);
               chosen := i :: !chosen
             | None -> ())
-          !paths;
+          paths;
         match List.rev !chosen with
         | [] -> None
         | idxs -> Some { value = List.length idxs; certificate = Disjoint idxs; name = "flow-dual" }

@@ -69,11 +69,7 @@ let diagonal keys =
 type cover_graph = { g : Bipartite.t; left_ids : int array; right_keys : int array }
 
 let aperm_graph ~a_ids ~two_way =
-  let g =
-    Bipartite.create
-      ~n_left:(max 1 (Array.length a_ids))
-      ~n_right:(max 1 (Array.length two_way))
-  in
+  let g = Bipartite.create ~n_left:(Array.length a_ids) ~n_right:(Array.length two_way) in
   Array.iteri
     (fun pi k ->
       let u = fst_of k and v = snd_of k in
@@ -84,11 +80,7 @@ let aperm_graph ~a_ids ~two_way =
   { g; left_ids = a_ids; right_keys = two_way }
 
 let z3_graph ~diag ~a_ids ~keys =
-  let g =
-    Bipartite.create
-      ~n_left:(max 1 (Array.length diag))
-      ~n_right:(max 1 (Array.length a_ids))
-  in
+  let g = Bipartite.create ~n_left:(Array.length diag) ~n_right:(Array.length a_ids) in
   Array.iter
     (fun k ->
       let u = fst_of k and v = snd_of k in

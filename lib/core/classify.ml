@@ -28,18 +28,20 @@ type verdict =
   | Unknown of string
   | Heuristic of string
 
+type component = {
+  query : Query.t;
+  copies : (string * string) list;
+  family : Family.t;
+  verdict : verdict;
+}
+
 type report = {
   original : Query.t;
   minimized : Query.t;
-  components : (Query.t * Family.t * verdict) list;
+  components : component list;
   verdict : verdict;
   notes : string list;
 }
-
-(* Family recognition runs on the split query, so the rewrite lives in
-   {!Family}; re-exported here because {!Solver} and the incremental tier
-   mirror it on the database through this module's interface. *)
-let split_exogenous_self_joins = Family.split_exogenous_self_joins
 
 (* --- shape detectors for the 3-R-atom cases ------------------------- *)
 
@@ -175,7 +177,7 @@ let classify_binary_ssj q =
   | None -> Ptime Sj_free_no_triad
   | Some (r, atoms) ->
     if Query.is_exogenous q r then
-      (* unreachable: split_exogenous_self_joins renamed those *)
+      (* unreachable: Family.split_exogenous_self_joins renamed those *)
       Unknown "repeated exogenous relation"
     else if Patterns.has_unary_path q then Np_complete Unary_path
     else if Patterns.has_binary_path q then Np_complete Binary_path
@@ -211,8 +213,7 @@ let classify_binary_ssj q =
    - anything else is honestly tagged [Heuristic]: the solver answers
      exactly, but no complexity claim is made. *)
 let classify_component q0 =
-  let q = Domination.normalize q0 in
-  let q = split_exogenous_self_joins q in
+  let q, copies = Family.split_exogenous_self_joins (Domination.normalize q0) in
   let family = Family.of_component q in
   let verdict =
     if Query.endogenous_atoms q = [] then Ptime Trivial_no_endogenous
@@ -228,7 +229,7 @@ let classify_component q0 =
       end
     end
   in
-  (q, family, verdict)
+  { query = q; copies; family; verdict }
 
 let combine_verdicts verdicts =
   let is_npc = function Np_complete _ -> true | _ -> false in
@@ -255,7 +256,7 @@ let classify q =
   let minimized = Homomorphism.minimize q in
   let comps = Components.split minimized in
   let classified = List.map classify_component comps in
-  let verdict = combine_verdicts (List.map (fun (_, _, v) -> v) classified) in
+  let verdict = combine_verdicts (List.map (fun (c : component) -> c.verdict) classified) in
   let notes =
     (if Query.equal q minimized then [] else [ "query was not minimal; minimized first" ])
     @
@@ -308,9 +309,9 @@ let pp_report ppf r =
   Format.fprintf ppf "@[<v>query: %a@,minimized: %a@,verdict: %s" Query.pp r.original Query.pp
     r.minimized (verdict_to_string r.verdict);
   List.iteri
-    (fun i (q, fam, v) ->
-      Format.fprintf ppf "@,  component %d [%s]: %a -> %s" (i + 1) (Family.to_string fam)
-        Query.pp q (verdict_to_string v))
+    (fun i (c : component) ->
+      Format.fprintf ppf "@,  component %d [%s]: %a -> %s" (i + 1) (Family.to_string c.family)
+        Query.pp c.query (verdict_to_string c.verdict))
     r.components;
   List.iter (fun n -> Format.fprintf ppf "@,note: %s" n) r.notes;
   Format.fprintf ppf "@]"

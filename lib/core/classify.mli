@@ -45,12 +45,23 @@ type verdict =
       (** outside every charted fragment ({!Family.General}): the solver
           still answers exactly, but no complexity claim is made *)
 
+(** One classified connected component. *)
+type component = {
+  query : Query.t;
+      (** the query actually analyzed: domination-normalized and
+          exogenous-split *)
+  copies : (string * string) list;
+      (** [(copy, base)] for each relation the exogenous split introduced
+          ({!Family.split_exogenous_self_joins}); a solver materializes
+          each copy as its base relation's tuples *)
+  family : Family.t;  (** the family the dispatcher routed it to *)
+  verdict : verdict;
+}
+
 type report = {
   original : Query.t;
   minimized : Query.t;
-  components : (Query.t * Family.t * verdict) list;
-      (** per connected component, after domination normalization, with
-          the family the dispatcher routed it to *)
+  components : component list;  (** per connected component *)
   verdict : verdict;  (** combined verdict (Lemma 15) *)
   notes : string list;
 }
@@ -68,14 +79,5 @@ val agrees_with : verdict -> Zoo.expected -> bool
 
 val pp_report : Format.formatter -> report -> unit
 
-val split_exogenous_self_joins : Query.t -> Query.t
-(** Re-export of {!Family.split_exogenous_self_joins}: rename repeated
-    {e exogenous} relations apart (R → R__1, R__2, …); exogenous tuples
-    are never deleted, so the rewrite preserves witnesses and contingency
-    sets while removing the self-join.  {!Solver} mirrors this renaming
-    on the database. *)
-
-val classify_component : Query.t -> Query.t * Family.t * verdict
-(** Classify one minimal connected component: returns the
-    domination-normalized (and exogenous-split) query actually analyzed,
-    the family it was dispatched to, and its verdict. *)
+val classify_component : Query.t -> component
+(** Classify one minimal connected component. *)

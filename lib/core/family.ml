@@ -11,37 +11,42 @@ let to_string = function
    distinct exogenous relations over identical instances: exogenous tuples
    are never deleted, so contingency sets and witnesses are unaffected.
    This rewrite lets the sj-free machinery apply when only exogenous
-   relations repeat. *)
+   relations repeat.  Copies are named [R__k], skipping every name the
+   query already uses, and reported with their base relation — callers
+   read the map rather than parse names. *)
 let split_exogenous_self_joins (q : Query.t) =
-  let repeated_exo =
-    List.filter (Query.is_exogenous q) (Query.repeated_relations q)
-  in
-  if repeated_exo = [] then q
+  let repeated_exo = List.filter (Query.is_exogenous q) (Query.repeated_relations q) in
+  if repeated_exo = [] then (q, [])
   else begin
-    let counters = Hashtbl.create 4 in
+    let taken = Hashtbl.create 8 in
+    List.iter (fun r -> Hashtbl.replace taken r ()) (Query.relations q);
+    let copies = ref [] in
+    let fresh base =
+      let rec go k =
+        let name = Printf.sprintf "%s__%d" base k in
+        if Hashtbl.mem taken name then go (k + 1) else name
+      in
+      let name = go 1 in
+      Hashtbl.replace taken name ();
+      copies := (name, base) :: !copies;
+      name
+    in
     let atoms =
       List.map
-        (fun (a : Atom.t) ->
-          if List.mem a.rel repeated_exo then begin
-            let k = (try Hashtbl.find counters a.rel with Not_found -> 0) + 1 in
-            Hashtbl.replace counters a.rel k;
-            Atom.make (Printf.sprintf "%s__%d" a.rel k) a.args
-          end
-          else a)
+        (fun (a : Atom.t) -> if List.mem a.rel repeated_exo then Atom.make (fresh a.rel) a.args else a)
         (Query.atoms q)
     in
+    let copies = List.rev !copies in
     let exo =
       List.concat_map
         (fun rel ->
-          if List.mem rel repeated_exo then begin
-            let k = Hashtbl.find counters rel in
-            List.init k (fun i -> Printf.sprintf "%s__%d" rel (i + 1))
-          end
+          if List.mem rel repeated_exo then
+            List.filter_map (fun (c, b) -> if b = rel then Some c else None) copies
           else if Query.is_exogenous q rel then [ rel ]
           else [])
         (Query.relations q)
     in
-    Query.make ~exo atoms
+    (Query.make ~exo atoms, copies)
   end
 
 (* Self-join-freeness is checked first: an sjf binary query belongs to
@@ -63,5 +68,5 @@ let of_query q =
   let comps = Components.split (Homomorphism.minimize q) in
   List.fold_left
     (fun acc c ->
-      join acc (of_component (split_exogenous_self_joins (Domination.normalize c))))
+      join acc (of_component (fst (split_exogenous_self_joins (Domination.normalize c)))))
     Sjf_any_arity comps

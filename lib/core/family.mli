@@ -48,9 +48,11 @@ val of_query : Query.t -> t
     Sjf_any_arity] — the query's family is the most demanding regime any
     of its components needs. *)
 
-val split_exogenous_self_joins : Query.t -> Query.t
+val split_exogenous_self_joins : Query.t -> Query.t * (string * string) list
 (** Rename repeated {e exogenous} relations apart (R → R__1, R__2, …):
     exogenous tuples are never deleted, so duplicating the relation per
     atom preserves witnesses and contingency sets while removing the
-    self-join.  Lives here (not in {!Classify}) because family
-    recognition runs on the split query; {!Classify} re-exports it. *)
+    self-join.  Returns the split query and its copy map [(copy, base)];
+    a copy name never equals a relation of the input query (taken
+    suffixes are skipped).  Lives here (not in {!Classify}) because
+    family recognition runs on the split query. *)

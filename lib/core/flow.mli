@@ -6,7 +6,9 @@
     position [p] becomes one edge from its left-boundary valuation to its
     right-boundary valuation — capacity 1 if endogenous, ∞ if exogenous.
     s–t paths are exactly witnesses and minimum cuts are minimum
-    contingency sets.
+    contingency sets.  Queries of arity ≤ 2 build the network on interned
+    ids ({!Res_col.Flowbuild}); wider ones use the structural
+    {!Res_db.Witness_net}.
 
     With self-joins a tuple may occur as several edges (one per atom of its
     relation).  For the classes where the paper proves the standard flow
@@ -44,18 +46,3 @@ val solve_exn :
   Res_cq.Query.t ->
   Solution.t
 (** @raise Invalid_argument when the query is not linear. *)
-
-(** {2 Network-construction building blocks}
-
-    Exposed for the incremental layer ([lib/inc]), which maintains the same
-    network under tuple deltas and must agree edge-for-edge with this
-    module's construction. *)
-
-val match_atom :
-  Res_cq.Atom.t -> Database.tuple -> (Res_cq.Atom.var * Value.t) list option
-(** Valuation of an atom's argument list against a tuple; [None] when the
-    tuple does not match a repeated-variable pattern like [R(x,x)]. *)
-
-val boundaries : Res_cq.Atom.t array -> string list array
-(** [boundaries atoms].(p) = variables occurring both in an atom [< p] and
-    in an atom [>= p]; positions 0 and [m] are empty. *)

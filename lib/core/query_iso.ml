@@ -50,7 +50,6 @@ let isomorphic (q1 : Query.t) (q2 : Query.t) =
 
 let find_iso q1 q2 = isomorphic q1 q2
 let isomorphic q1 q2 = isomorphic q1 q2 <> None
-let find_template_iso s q = find_iso (Parser.query s) q
 
 let matches_template q s = isomorphic q (Parser.query s)
 
@@ -64,4 +63,10 @@ let mirror (q : Query.t) =
   in
   Query.make ~exo atoms
 
-let matches_template_upto_mirror q s = matches_template q s || matches_template (mirror q) s
+let match_template s q =
+  let tmpl = Parser.query s in
+  match find_iso tmpl q with
+  | Some (rel_map, _) -> Some (rel_map, false)
+  | None -> Option.map (fun (rel_map, _) -> (rel_map, true)) (find_iso tmpl (mirror q))
+
+let matches_template_upto_mirror q s = match_template s q <> None

@@ -6,26 +6,12 @@ type trace = {
   solution : Solution.t;
 }
 
-(* Extend the database for the exogenous-split renaming (R -> R__k):
-   relations of the split query absent from the database inherit the
-   tuples of their base relation. *)
-let extend_db_for_split db (q_split : Res_cq.Query.t) =
+(* Materialize the exogenous split on the database: each copy holds its
+   base relation's tuples. *)
+let extend_db_for_split db copies =
   List.fold_left
-    (fun db rel ->
-      if Database.tuples_of db rel <> [] then db
-      else begin
-        match String.index_opt rel '_' with
-        | None -> db
-        | Some _ -> begin
-          match String.rindex_opt rel '_' with
-          | Some i when i >= 1 && rel.[i - 1] = '_' ->
-            let base = String.sub rel 0 (i - 1) in
-            List.fold_left (fun db t -> Database.add_row db rel t) db (Database.tuples_of db base)
-          | _ -> db
-        end
-      end)
-    db
-    (Res_cq.Query.relations q_split)
+    (fun db (copy, base) -> Database.with_relation db copy (Database.tuples_of db base))
+    db copies
 
 let mirror_db db (q : Res_cq.Query.t) =
   List.fold_left
@@ -53,14 +39,11 @@ let mirror_solution (q : Res_cq.Query.t) = function
 (* Run [k rel_map db q] against the template, trying the mirrored query if
    the direct orientation does not match. *)
 let try_template tmpl db q k =
-  match Query_iso.find_template_iso tmpl q with
-  | Some (rel_map, _) -> Some (k rel_map db q)
-  | None -> begin
-    let qm = Query_iso.mirror q in
-    match Query_iso.find_template_iso tmpl qm with
-    | Some (rel_map, _) -> Some (mirror_solution q (k rel_map (mirror_db db q) qm))
-    | None -> None
-  end
+  match Query_iso.match_template tmpl q with
+  | None -> None
+  | Some (rel_map, false) -> Some (k rel_map db q)
+  | Some (rel_map, true) ->
+    Some (mirror_solution q (k rel_map (mirror_db db q) (Query_iso.mirror q)))
 
 let rel rel_map name = List.assoc name rel_map
 
@@ -170,8 +153,8 @@ let dispatch_ptime ~cancel ?pool (m : Classify.ptime_method) db q =
    bound, or [`Partial (None, 0)] when a polynomial solver was cancelled
    mid-run (nothing to salvage). *)
 let solve_component ~cancel ?pool db qc =
-  let q', _family, verdict = Classify.classify_component qc in
-  let db = extend_db_for_split db q' in
+  let { Classify.query = q'; copies; verdict; _ } = Classify.classify_component qc in
+  let db = extend_db_for_split db copies in
   let exact_bounded = exact_bounded ?pool in
   match
     match verdict with

@@ -57,6 +57,10 @@ val solve_bounded :
     {!Exact.resilience_bounded}).  Omitted, or with [jobs = 1], solving
     is exactly the sequential program. *)
 
+val min_solution : Solution.t -> Solution.t -> Solution.t
+(** The combination of two components' answers (Lemma 14): the smaller
+    [Finite] wins, [Unbreakable] is the identity. *)
+
 val interval_of_solution : Solution.t -> Res_bounds.Interval.t
 (** [Finite (v, set)] ↦ the optimal interval [⟨v, v⟩]; [Unbreakable] ↦
     {!Res_bounds.Interval.unbreakable}. *)
@@ -64,12 +68,12 @@ val interval_of_solution : Solution.t -> Res_bounds.Interval.t
 val value : Database.t -> Res_cq.Query.t -> int option
 (** [Some ρ] or [None] (unbreakable). *)
 
-val extend_db_for_split : Database.t -> Res_cq.Query.t -> Database.t
-(** Materialize the exogenous-split renaming on the database: every
-    relation [R__k] of the split query that is absent from the database
-    inherits the tuples of its base relation [R].  Exposed for the
-    incremental session ([lib/inc]), which must present strategies with
-    the same extended view the dispatcher solves against. *)
+val extend_db_for_split : Database.t -> (string * string) list -> Database.t
+(** Materialize an exogenous split on the database: each [(copy, base)]
+    of {!Classify.component}'s [copies] gets exactly the tuples of its
+    base relation.  Exposed for the incremental session ([lib/inc]),
+    which must present strategies with the same extended view the
+    dispatcher solves against. *)
 
 (** {2 The mirror symmetry}
 

@@ -378,27 +378,21 @@ let solve_witness_bipartite db (q : Res_cq.Query.t) =
         adj;
       if not !bipartite then None
       else begin
-        (* index left/right units and run König *)
+        (* index left/right units and run König; [color] binds each unit
+           once, so a table's length is the next free vertex id *)
         let left = Hashtbl.create 16 and right = Hashtbl.create 16 in
-        let left_arr = ref [] and right_arr = ref [] in
+        let left_units = ref [] and right_units = ref [] in
         Hashtbl.iter
           (fun v c ->
-            if c = 0 then begin
-              if not (Hashtbl.mem left v) then begin
-                Hashtbl.replace left v (List.length !left_arr);
-                left_arr := !left_arr @ [ v ]
-              end
-            end
-            else if not (Hashtbl.mem right v) then begin
-              Hashtbl.replace right v (List.length !right_arr);
-              right_arr := !right_arr @ [ v ]
-            end)
+            let ids, units = if c = 0 then (left, left_units) else (right, right_units) in
+            Hashtbl.replace ids v (Hashtbl.length ids);
+            units := v :: !units)
           color;
-        let left_arr = Array.of_list !left_arr and right_arr = Array.of_list !right_arr in
+        let left_arr = Array.of_list (List.rev !left_units)
+        and right_arr = Array.of_list (List.rev !right_units) in
         let g =
-          Res_graph.Bipartite.create
-            ~n_left:(max 1 (Array.length left_arr))
-            ~n_right:(max 1 (Array.length right_arr))
+          Res_graph.Bipartite.create ~n_left:(Array.length left_arr)
+            ~n_right:(Array.length right_arr)
         in
         List.iter
           (fun (a, b) ->

@@ -23,6 +23,12 @@ let add db f =
   Smap.add f.rel (Tset.add f.tuple cur) db
 
 let fact rel tuple = { rel; tuple }
+
+(* Relation name, then the tuple under [Value.compare]: the order of
+   [Stdlib.compare] on facts, without polymorphic compare. *)
+let compare_fact f g =
+  let c = String.compare f.rel g.rel in
+  if c <> 0 then c else List.compare Value.compare f.tuple g.tuple
 let add_row db rel tuple = add db { rel; tuple }
 
 let remove db f =

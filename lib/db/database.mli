@@ -49,5 +49,10 @@ val restrict : t -> string list -> t
 val union : t -> t -> t
 
 val fact : string -> Value.t list -> fact
+
+val compare_fact : fact -> fact -> int
+(** Relation name, then tuple under {!Value.compare}; agrees with
+    [Stdlib.compare] on facts. *)
+
 val pp : Format.formatter -> t -> unit
 val pp_fact : Format.formatter -> fact -> unit

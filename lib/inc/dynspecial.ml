@@ -1,6 +1,5 @@
 open Res_db
-module Dynmatch = Res_graph.Dynmatch
-module Dyncsr = Res_col.Dyncsr
+module Bipartite = Res_graph.Bipartite
 
 (* Incremental counterparts of the {!Resilience.Special} solvers for the
    permutation-family templates, maintained under tuple deltas:
@@ -9,25 +8,56 @@ module Dyncsr = Res_col.Dyncsr
      pairs, kept as a hash set, O(1) per delta.
    - {!APerm}: [A(x), R(x,y), R(y,x)] (Prop 33) — ρ is a König vertex
      cover of the A-values × two-way-pairs graph, maintained by
-     {!Dynmatch}.
+     {!Bipartite}.
    - {!Z3}: [R(x,x), R(x,y), A(y)] (Prop 36) — ρ is a König vertex cover
      of diagonals × A-values with one edge per R-tuple, maintained by
-     {!Dynmatch} over a {!Dyncsr} adjacency of interned ids.
+     {!Bipartite} over hash-set adjacency of the live R tuples.
 
    Each structure's [solution] emits the same value as its from-scratch
    counterpart (the differential suite pins this) and a genuine contingency
    set of facts present in the current database. *)
 
-module VDict = Res_col.Dict.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
 let vp a b = if Value.compare a b <= 0 then (a, b) else (b, a)
 
 let sorted_facts facts = List.sort_uniq compare facts
+
+(* Dense matching-vertex ids for values, permanent once assigned. *)
+module Ids = struct
+  type 'a t = { ids : ('a, int) Hashtbl.t; rev : (int, 'a) Hashtbl.t }
+
+  let create () = { ids = Hashtbl.create 64; rev = Hashtbl.create 64 }
+
+  let id t x =
+    match Hashtbl.find_opt t.ids x with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length t.ids in
+      Hashtbl.replace t.ids x i;
+      Hashtbl.replace t.rev i x;
+      i
+
+  let value t i = Hashtbl.find t.rev i
+end
+
+(* Hash-set adjacency: key -> set of neighbours, sets created on demand. *)
+module Adj = struct
+  type ('k, 'v) t = ('k, ('v, unit) Hashtbl.t) Hashtbl.t
+
+  let create () : ('k, 'v) t = Hashtbl.create 64
+
+  let of_key t k =
+    match Hashtbl.find_opt t k with
+    | Some h -> h
+    | None ->
+      let h = Hashtbl.create 8 in
+      Hashtbl.replace t k h;
+      h
+
+  let mem t k v = match Hashtbl.find_opt t k with Some h -> Hashtbl.mem h v | None -> false
+  let add t k v = Hashtbl.replace (of_key t k) v ()
+  let remove t k v = Option.iter (fun h -> Hashtbl.remove h v) (Hashtbl.find_opt t k)
+  let iter f t k = Option.iter (Hashtbl.iter (fun v () -> f v)) (Hashtbl.find_opt t k)
+end
 
 (* ---- Prop 33, no unary guard: count two-way pairs -------------------- *)
 
@@ -78,60 +108,28 @@ module APerm = struct
   type t = {
     a : string;
     r : string;
-    g : Dynmatch.t;
+    g : Bipartite.t;
     present : (Value.t * Value.t, unit) Hashtbl.t;
     a_live : (Value.t, unit) Hashtbl.t;
     pair_live : (Value.t * Value.t, unit) Hashtbl.t;
-    (* dense vertex ids, permanent once assigned *)
-    left_ids : (Value.t, int) Hashtbl.t;
-    left_rev : (int, Value.t) Hashtbl.t;
-    right_ids : (Value.t * Value.t, int) Hashtbl.t;
-    right_rev : (int, Value.t * Value.t) Hashtbl.t;
-    incident : (Value.t, (Value.t * Value.t, unit) Hashtbl.t) Hashtbl.t;
-        (* value -> live pairs containing it *)
+    left : Value.t Ids.t; (* A-values *)
+    right : (Value.t * Value.t) Ids.t; (* two-way pairs *)
+    incident : (Value.t, Value.t * Value.t) Adj.t; (* value -> live pairs containing it *)
   }
-
-  let left_id t w =
-    match Hashtbl.find_opt t.left_ids w with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length t.left_ids in
-      Hashtbl.replace t.left_ids w i;
-      Hashtbl.replace t.left_rev i w;
-      i
-
-  let right_id t p =
-    match Hashtbl.find_opt t.right_ids p with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length t.right_ids in
-      Hashtbl.replace t.right_ids p i;
-      Hashtbl.replace t.right_rev i p;
-      i
-
-  let incident_of t w =
-    match Hashtbl.find_opt t.incident w with
-    | Some h -> h
-    | None ->
-      let h = Hashtbl.create 8 in
-      Hashtbl.replace t.incident w h;
-      h
 
   let ends (u, v) = if Value.equal u v then [ u ] else [ u; v ]
 
   let insert_a t w =
     if not (Hashtbl.mem t.a_live w) then begin
       Hashtbl.replace t.a_live w ();
-      let lid = left_id t w in
-      Hashtbl.iter (fun p () -> Dynmatch.add_edge t.g lid (right_id t p)) (incident_of t w)
+      let lid = Ids.id t.left w in
+      Adj.iter (fun p -> Bipartite.add_edge t.g lid (Ids.id t.right p)) t.incident w
     end
 
   let delete_a t w =
     if Hashtbl.mem t.a_live w then begin
-      let lid = left_id t w in
-      Hashtbl.iter
-        (fun p () -> ignore (Dynmatch.remove_edge t.g lid (right_id t p)))
-        (incident_of t w);
+      let lid = Ids.id t.left w in
+      Adj.iter (fun p -> ignore (Bipartite.remove_edge t.g lid (Ids.id t.right p))) t.incident w;
       Hashtbl.remove t.a_live w
     end
 
@@ -141,11 +139,11 @@ module APerm = struct
       let p = vp x y in
       if not (Hashtbl.mem t.pair_live p) then begin
         Hashtbl.replace t.pair_live p ();
-        let pid = right_id t p in
+        let pid = Ids.id t.right p in
         List.iter
           (fun w ->
-            Hashtbl.replace (incident_of t w) p ();
-            if Hashtbl.mem t.a_live w then Dynmatch.add_edge t.g (left_id t w) pid)
+            Adj.add t.incident w p;
+            if Hashtbl.mem t.a_live w then Bipartite.add_edge t.g (Ids.id t.left w) pid)
           (ends p)
       end
     end
@@ -155,12 +153,12 @@ module APerm = struct
     let p = vp x y in
     if Hashtbl.mem t.pair_live p then begin
       Hashtbl.remove t.pair_live p;
-      let pid = right_id t p in
+      let pid = Ids.id t.right p in
       List.iter
         (fun w ->
-          Hashtbl.remove (incident_of t w) p;
+          Adj.remove t.incident w p;
           if Hashtbl.mem t.a_live w then
-            ignore (Dynmatch.remove_edge t.g (left_id t w) pid))
+            ignore (Bipartite.remove_edge t.g (Ids.id t.left w) pid))
         (ends p)
     end
 
@@ -179,15 +177,13 @@ module APerm = struct
       {
         a;
         r;
-        g = Dynmatch.create ();
+        g = Bipartite.create ~n_left:0 ~n_right:0;
         present = Hashtbl.create 256;
         a_live = Hashtbl.create 64;
         pair_live = Hashtbl.create 64;
-        left_ids = Hashtbl.create 64;
-        left_rev = Hashtbl.create 64;
-        right_ids = Hashtbl.create 64;
-        right_rev = Hashtbl.create 64;
-        incident = Hashtbl.create 64;
+        left = Ids.create ();
+        right = Ids.create ();
+        incident = Adj.create ();
       }
     in
     List.iter
@@ -200,107 +196,68 @@ module APerm = struct
     t
 
   let solution t =
-    let left, right = Dynmatch.min_vertex_cover t.g in
+    let left, right = Bipartite.min_vertex_cover t.g in
     let facts =
-      List.map (fun lid -> Database.fact t.a [ Hashtbl.find t.left_rev lid ]) left
+      List.map (fun lid -> Database.fact t.a [ Ids.value t.left lid ]) left
       @ List.map
           (fun pid ->
-            let u, v = Hashtbl.find t.right_rev pid in
+            let u, v = Ids.value t.right pid in
             Database.fact t.r [ u; v ])
           right
     in
     Resilience.Solution.Finite (List.length left + List.length right, sorted_facts facts)
 end
 
-(* ---- Prop 36 (z3): diagonals × A-values VC over Dyncsr adjacency ------ *)
+(* ---- Prop 36 (z3): diagonals × A-values VC ------------------------------ *)
 
 module Z3 = struct
   type t = {
     r : string;
     a : string;
-    g : Dynmatch.t;
-    dict : VDict.t;
-    adj : Dyncsr.t; (* live R tuples, interned ids *)
+    g : Bipartite.t;
+    succ : (Value.t, Value.t) Adj.t; (* live R tuples, by first column *)
+    pred : (Value.t, Value.t) Adj.t; (* live R tuples, by second column *)
     a_live : (Value.t, unit) Hashtbl.t;
-    left_ids : (Value.t, int) Hashtbl.t; (* diagonal value -> left id *)
-    left_rev : (int, Value.t) Hashtbl.t;
-    right_ids : (Value.t, int) Hashtbl.t; (* A-value -> right id *)
-    right_rev : (int, Value.t) Hashtbl.t;
+    left : Value.t Ids.t; (* diagonal values *)
+    right : Value.t Ids.t; (* A-values *)
   }
-
-  let left_id t w =
-    match Hashtbl.find_opt t.left_ids w with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length t.left_ids in
-      Hashtbl.replace t.left_ids w i;
-      Hashtbl.replace t.left_rev i w;
-      i
-
-  let right_id t w =
-    match Hashtbl.find_opt t.right_ids w with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length t.right_ids in
-      Hashtbl.replace t.right_ids w i;
-      Hashtbl.replace t.right_rev i w;
-      i
 
   (* edge invariant: (diag u — A v) in [g] iff R(u,v), R(u,u) and A(v) all
      live; one edge per middle tuple *)
 
+  let add t u v = Bipartite.add_edge t.g (Ids.id t.left u) (Ids.id t.right v)
+  let remove t u v = ignore (Bipartite.remove_edge t.g (Ids.id t.left u) (Ids.id t.right v))
+
   let insert_r t (u, v) =
-    let iu = VDict.intern t.dict u and iv = VDict.intern t.dict v in
-    Dyncsr.add t.adj ~src:iu ~dst:iv ~tid:0;
-    if Value.equal u v then
-      (* new diagonal: every outgoing live tuple (u, w) with A(w) live gains
-         an edge — including (u, u) itself *)
-      List.iter
-        (fun iw ->
-          let w = VDict.value t.dict iw in
-          if Hashtbl.mem t.a_live w then Dynmatch.add_edge t.g (left_id t u) (right_id t w))
-        (Dyncsr.succ t.adj iu)
-    else if Dyncsr.mem t.adj iu iu && Hashtbl.mem t.a_live v then
-      Dynmatch.add_edge t.g (left_id t u) (right_id t v)
+    if not (Adj.mem t.succ u v) then begin
+      Adj.add t.succ u v;
+      Adj.add t.pred v u;
+      if Value.equal u v then
+        (* new diagonal: every outgoing live tuple (u, w) with A(w) live
+           gains an edge — including (u, u) itself *)
+        Adj.iter (fun w -> if Hashtbl.mem t.a_live w then add t u w) t.succ u
+      else if Adj.mem t.succ u u && Hashtbl.mem t.a_live v then add t u v
+    end
 
   let delete_r t (u, v) =
-    let iu = VDict.intern t.dict u and iv = VDict.intern t.dict v in
-    (if Value.equal u v then
-       (* losing the diagonal drops every edge it anchored, (u,u) included *)
-       List.iter
-         (fun iw ->
-           let w = VDict.value t.dict iw in
-           if Hashtbl.mem t.a_live w then
-             ignore (Dynmatch.remove_edge t.g (left_id t u) (right_id t w)))
-         (Dyncsr.succ t.adj iu)
-     else if Dyncsr.mem t.adj iu iu && Hashtbl.mem t.a_live v then
-       ignore (Dynmatch.remove_edge t.g (left_id t u) (right_id t v)));
-    Dyncsr.remove t.adj ~src:iu ~dst:iv
+    if Adj.mem t.succ u v then begin
+      if Value.equal u v then
+        (* losing the diagonal drops every edge it anchored, (u,u) included *)
+        Adj.iter (fun w -> if Hashtbl.mem t.a_live w then remove t u w) t.succ u
+      else if Adj.mem t.succ u u && Hashtbl.mem t.a_live v then remove t u v;
+      Adj.remove t.succ u v;
+      Adj.remove t.pred v u
+    end
 
   let insert_a t v =
     if not (Hashtbl.mem t.a_live v) then begin
       Hashtbl.replace t.a_live v ();
-      match VDict.find_opt t.dict v with
-      | None -> ()
-      | Some iv ->
-        List.iter
-          (fun iu ->
-            if Dyncsr.mem t.adj iu iu then
-              Dynmatch.add_edge t.g (left_id t (VDict.value t.dict iu)) (right_id t v))
-          (Dyncsr.pred t.adj iv)
+      Adj.iter (fun u -> if Adj.mem t.succ u u then add t u v) t.pred v
     end
 
   let delete_a t v =
     if Hashtbl.mem t.a_live v then begin
-      (match VDict.find_opt t.dict v with
-      | None -> ()
-      | Some iv ->
-        List.iter
-          (fun iu ->
-            if Dyncsr.mem t.adj iu iu then
-              ignore
-                (Dynmatch.remove_edge t.g (left_id t (VDict.value t.dict iu)) (right_id t v)))
-          (Dyncsr.pred t.adj iv));
+      Adj.iter (fun u -> if Adj.mem t.succ u u then remove t u v) t.pred v;
       Hashtbl.remove t.a_live v
     end
 
@@ -319,14 +276,12 @@ module Z3 = struct
       {
         r;
         a;
-        g = Dynmatch.create ();
-        dict = VDict.create ~hint:256 ();
-        adj = Dyncsr.build ~n:1 [||];
+        g = Bipartite.create ~n_left:0 ~n_right:0;
+        succ = Adj.create ();
+        pred = Adj.create ();
         a_live = Hashtbl.create 64;
-        left_ids = Hashtbl.create 64;
-        left_rev = Hashtbl.create 64;
-        right_ids = Hashtbl.create 64;
-        right_rev = Hashtbl.create 64;
+        left = Ids.create ();
+        right = Ids.create ();
       }
     in
     List.iter
@@ -339,14 +294,14 @@ module Z3 = struct
     t
 
   let solution t =
-    let left, right = Dynmatch.min_vertex_cover t.g in
+    let left, right = Bipartite.min_vertex_cover t.g in
     let facts =
       List.map
         (fun lid ->
-          let u = Hashtbl.find t.left_rev lid in
+          let u = Ids.value t.left lid in
           Database.fact t.r [ u; u ])
         left
-      @ List.map (fun rid -> Database.fact t.a [ Hashtbl.find t.right_rev rid ]) right
+      @ List.map (fun rid -> Database.fact t.a [ Ids.value t.right rid ]) right
     in
     Resilience.Solution.Finite (List.length left + List.length right, sorted_facts facts)
 end

@@ -3,7 +3,7 @@
     Each structure mirrors the from-scratch construction in
     {!Resilience.Special} but is maintained under tuple deltas: the
     two-way-pair set directly for [R(x,y), R(y,x)], and a dynamic
-    Hopcroft–Karp matching ({!Res_graph.Dynmatch}) whose König vertex cover
+    Hopcroft–Karp matching ({!Res_graph.Bipartite}) whose König vertex cover
     is read out on demand for the guarded variants.  [solution] always
     returns the same resilience value as the corresponding [Special] solver
     and a genuine minimum contingency set of currently-present facts.

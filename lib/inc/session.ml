@@ -30,8 +30,8 @@ module Interval = Res_bounds.Interval
 
    Deltas arrive against the {e user's} relations; each component routes
    them through its alias table (a delta on [R] also feeds the exogenous
-   split copies [R__1], [R__2], …) and, for mirror-matched templates, with
-   binary tuples flipped.  Solutions from mirrored strategies are flipped
+   split copies of [R] named in the component's [copies] map) and, for
+   mirror-matched templates, with binary tuples flipped.  Solutions from mirrored strategies are flipped
    back before they are combined, so callers only ever see facts of the
    original database. *)
 
@@ -49,6 +49,7 @@ type strategy =
 type comp = {
   qc : Q.t; (* split component, as Solver would see it *)
   cq : Q.t; (* analyzed query: domination-normalized, exogenous-split *)
+  copies : (string * string) list; (* exogenous-split (copy, base) *)
   aliases : (string * string) list; (* (base relation, component relation) *)
   binary : (string, unit) Hashtbl.t; (* component relations of arity 2 *)
   strat : strategy;
@@ -70,26 +71,15 @@ let strategy_name = function
   | Hard _ -> "warm-exact"
   | Resolve -> "recompute"
 
-(* the inverse of the [R -> R__k] renaming of Classify.split_exogenous_self_joins *)
-let base_of rel =
-  match String.rindex_opt rel '_' with
-  | Some i when i >= 1 && rel.[i - 1] = '_' -> String.sub rel 0 (i - 1)
-  | _ -> rel
-
 let rel_of rm name = List.assoc name rm
 
-let strategy_of db cq (verdict : Classify.verdict) =
-  let db' = Solver.extend_db_for_split db cq in
-  (* match [cq] against a template directly, else through the mirror; the
-     builder receives the database in the matched orientation *)
+let strategy_of db ({ query = cq; copies; verdict; _ } : Classify.component) =
+  let db' = Solver.extend_db_for_split db copies in
+  (* the builder receives the database in the matched orientation *)
   let templ tmpl k =
-    match Query_iso.find_template_iso tmpl cq with
-    | Some (rm, _) -> Some (k rm db' false)
-    | None -> begin
-      match Query_iso.find_template_iso tmpl (Query_iso.mirror cq) with
-      | Some (rm, _) -> Some (k rm (Solver.mirror_db db' cq) true)
-      | None -> None
-    end
+    Option.map
+      (fun (rm, m) -> k rm (if m then Solver.mirror_db db' cq else db') m)
+      (Query_iso.match_template tmpl cq)
   in
   match verdict with
   | Classify.Ptime Classify.Trivial_no_endogenous -> Trivial
@@ -133,7 +123,7 @@ let rename_deltas c ~mirrored ds =
       let f = Delta.fact_of d in
       List.filter_map
         (fun (base, r) ->
-          if f.Database.rel = base || f.Database.rel = r then begin
+          if f.Database.rel = base then begin
             let f = { f with Database.rel = r } in
             let f =
               if mirrored && Hashtbl.mem c.binary r then { f with tuple = List.rev f.tuple }
@@ -157,22 +147,17 @@ let route c eff =
 
 let unmirror mirrored cq s = if mirrored then Solver.mirror_solution cq s else s
 
-let min_solution a b =
-  match (a, b) with
-  | Solution.Unbreakable, s | s, Solution.Unbreakable -> s
-  | Solution.Finite (v1, _), Solution.Finite (v2, _) -> if v2 < v1 then b else a
-
 let solve_comp ?cancel ?pool t c =
   match c.strat with
   | Trivial ->
-    let db' = Solver.extend_db_for_split (Vdb.db t.vdb) c.cq in
+    let db' = Solver.extend_db_for_split (Vdb.db t.vdb) c.copies in
     Value (if Eval.sat db' c.cq then Solution.Unbreakable else Solution.Finite (0, []))
   | Flow i -> Value (Incflow.solution i)
   | Pairs (p, m) -> Value (unmirror m c.cq (Dynspecial.Pairs.solution p))
   | Aperm (p, m) -> Value (unmirror m c.cq (Dynspecial.APerm.solution p))
   | Z3 (z, m) -> Value (unmirror m c.cq (Dynspecial.Z3.solution z))
   | Hard h -> begin
-    let db' = Solver.extend_db_for_split (Vdb.db t.vdb) c.cq in
+    let db' = Solver.extend_db_for_split (Vdb.db t.vdb) c.copies in
     match
       Resilience.Exact.resilience_bounded ?cancel ?pool ~seed:h.seed ~lp_state:h.lp_state db'
         c.cq
@@ -202,7 +187,7 @@ let combine rs =
   if List.for_all (function Value _ -> true | Interval _ -> false) rs then
     Value
       (List.fold_left
-         (fun acc -> function Value s -> min_solution acc s | Interval _ -> acc)
+         (fun acc -> function Value s -> Solver.min_solution acc s | Interval _ -> acc)
          Solution.Unbreakable rs)
   else
     Interval
@@ -224,16 +209,19 @@ let create ?cancel ?pool db q =
   let comps =
     List.map
       (fun qc ->
-        let cq, _family, verdict = Classify.classify_component qc in
+        let comp = Classify.classify_component qc in
+        let cq = comp.query in
         let rels = Q.relations cq in
         let binary = Hashtbl.create 8 in
         List.iter (fun r -> if Q.arity_of cq r = 2 then Hashtbl.replace binary r ()) rels;
+        let base r = Option.value ~default:r (List.assoc_opt r comp.copies) in
         {
           qc;
           cq;
-          aliases = List.map (fun r -> (base_of r, r)) rels;
+          copies = comp.copies;
+          aliases = List.map (fun r -> (base r, r)) rels;
           binary;
-          strat = strategy_of db cq verdict;
+          strat = strategy_of db comp;
         })
       (Res_cq.Components.split minimized)
   in

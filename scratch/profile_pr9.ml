@@ -38,7 +38,7 @@ let () =
   in
   lap "db build";
   let atoms = Array.of_list (Res_cq.Query.atoms q) in
-  let bounds = Resilience.Flow.boundaries atoms in
+  let bounds = Witness_net.boundaries atoms in
   match Eval.view db q with
   | None -> print_endline "kernels off; skipping step-by-step"
   | Some view ->

@@ -45,13 +45,17 @@ let all_exogenous_trivial () =
 
 let exogenous_split () =
   (* a repeated exogenous relation is split apart, leaving an sj-free query *)
-  let split = Classify.split_exogenous_self_joins (q "H^x(x,y), H^x(y,z), R(y)") in
+  let split, copies = Family.split_exogenous_self_joins (q "H^x(x,y), H^x(y,z), R(y)") in
   check_bool "sj-free after split" true (Query.is_sj_free split);
   check_bool "split relations exogenous" true
     (Query.is_exogenous split "H__1" && Query.is_exogenous split "H__2");
+  check_bool "copy map" true (copies = [ ("H__1", "H"); ("H__2", "H") ]);
+  (* a copy name never reuses a relation of the query *)
+  let _, copies = Family.split_exogenous_self_joins (q "H^x(x,y), H^x(y,z), H__1(x,y)") in
+  check_bool "taken names skipped" true (copies = [ ("H__2", "H"); ("H__3", "H") ]);
   (* endogenous repeats are untouched *)
-  let same = Classify.split_exogenous_self_joins (q "R(x,y), R(y,z)") in
-  check_bool "endogenous untouched" true (Query.equal same (q "R(x,y), R(y,z)"))
+  let same, copies = Family.split_exogenous_self_joins (q "R(x,y), R(y,z)") in
+  check_bool "endogenous untouched" true (Query.equal same (q "R(x,y), R(y,z)") && copies = [])
 
 let beyond_fragment_is_unknown () =
   (* ternary self-join without a triad: outside every charted fragment,

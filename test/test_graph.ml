@@ -162,22 +162,22 @@ let prop_flow_equals_brute_cut =
 let bipartite_perfect () =
   let g = Bipartite.create ~n_left:3 ~n_right:3 in
   List.iter (fun (u, v) -> Bipartite.add_edge g u v) [ (0, 0); (0, 1); (1, 1); (2, 2) ];
-  check "perfect matching" 3 (Bipartite.max_matching g)
+  check "perfect matching" 3 (Bipartite.matching_size g)
 
 let bipartite_starved () =
   let g = Bipartite.create ~n_left:3 ~n_right:3 in
   (* all left vertices fight over right vertex 0 *)
   List.iter (fun u -> Bipartite.add_edge g u 0) [ 0; 1; 2 ];
-  check "only one matched" 1 (Bipartite.max_matching g)
+  check "only one matched" 1 (Bipartite.matching_size g)
 
 let bipartite_empty () =
   let g = Bipartite.create ~n_left:2 ~n_right:2 in
-  check "no edges" 0 (Bipartite.max_matching g)
+  check "no edges" 0 (Bipartite.matching_size g)
 
 let bipartite_koenig () =
   let g = Bipartite.create ~n_left:3 ~n_right:3 in
   List.iter (fun (u, v) -> Bipartite.add_edge g u v) [ (0, 0); (1, 0); (2, 0); (2, 1) ];
-  let matching = Bipartite.max_matching g in
+  let matching = Bipartite.matching_size g in
   let left, right = Bipartite.min_vertex_cover g in
   check "König: |cover| = matching" matching (List.length left + List.length right);
   (* the cover covers all edges *)
@@ -185,6 +185,22 @@ let bipartite_koenig () =
     (fun (u, v) ->
       check_bool "edge covered" true (List.mem u left || List.mem v right))
     [ (0, 0); (1, 0); (2, 0); (2, 1) ]
+
+(* A maximum-matching certificate that needs no second implementation:
+   [matching_pairs] is a matching of the live [edges] of size
+   [matching_size], and the König cover is a vertex cover of the same
+   size.  A cover of size k bounds every matching by k, so the two
+   certify each other's optimality. *)
+let certified g edges =
+  let pairs = Bipartite.matching_pairs g in
+  let left, right = Bipartite.min_vertex_cover g in
+  let distinct l = List.length (List.sort_uniq compare l) = List.length l in
+  List.for_all (fun p -> List.mem p edges) pairs
+  && distinct (List.map fst pairs)
+  && distinct (List.map snd pairs)
+  && List.length pairs = Bipartite.matching_size g
+  && List.length left + List.length right = List.length pairs
+  && List.for_all (fun (u, v) -> List.mem u left || List.mem v right) edges
 
 let prop_koenig =
   QCheck.Test.make ~count:80 ~name:"König cover valid and |cover| = |matching|"
@@ -200,10 +216,34 @@ let prop_koenig =
       done;
       let g = Bipartite.create ~n_left:nl ~n_right:nr in
       List.iter (fun (u, v) -> Bipartite.add_edge g u v) !edges;
-      let m = Bipartite.max_matching g in
-      let left, right = Bipartite.min_vertex_cover g in
-      List.length left + List.length right = m
-      && List.for_all (fun (u, v) -> List.mem u left || List.mem v right) !edges)
+      certified g !edges)
+
+(* Random insertions and deletions (parallel edges included) on a graph
+   that starts with no vertices: after every delta the maintained
+   matching must still carry the certificate. *)
+let prop_dynamic =
+  QCheck.Test.make ~count:300 ~name:"bipartite: every delta keeps a certified maximum matching"
+    QCheck.(int_bound 10_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 13 |] in
+      let nl = 1 + Random.State.int st 7 and nr = 1 + Random.State.int st 7 in
+      let g = Bipartite.create ~n_left:0 ~n_right:0 in
+      let live = ref [] in
+      for _ = 1 to 25 do
+        (if !live <> [] && Random.State.int st 3 = 0 then begin
+           let ((l, r) as e) = List.nth !live (Random.State.int st (List.length !live)) in
+           assert (Bipartite.remove_edge g l r);
+           let rec drop = function [] -> [] | e' :: tl when e' = e -> tl | p :: tl -> p :: drop tl in
+           live := drop !live
+         end
+         else begin
+           let l = Random.State.int st nl and r = Random.State.int st nr in
+           Bipartite.add_edge g l r;
+           live := (l, r) :: !live
+         end);
+        if not (certified g !live) then QCheck.Test.fail_report "matching certificate failed"
+      done;
+      true)
 
 (* --- exact vertex cover ------------------------------------------------ *)
 
@@ -269,6 +309,7 @@ let suite =
     Alcotest.test_case "bipartite starved matching" `Quick bipartite_starved;
     Alcotest.test_case "bipartite empty" `Quick bipartite_empty;
     Alcotest.test_case "bipartite König cover" `Quick bipartite_koenig;
+    QCheck_alcotest.to_alcotest prop_dynamic;
     QCheck_alcotest.to_alcotest prop_koenig;
     Alcotest.test_case "VC triangle" `Quick vc_triangle;
     Alcotest.test_case "VC path" `Quick vc_path;

@@ -1,7 +1,6 @@
 (* The incremental subsystem (lib/inc) and its supporting layers: dynamic
-   residual repair in Maxflow, dynamic Hopcroft–Karp, the overlay CSR, the
-   versioned database, warm-started simplex/B&B, the fingerprint fast path
-   of the engine cache — each against its from-scratch counterpart — and
+   residual repair in Maxflow, the versioned database, warm-started
+   simplex/B&B, the fingerprint fast path of the engine cache — each against its from-scratch counterpart — and
    the headline differential property: a streaming session agrees with a
    from-scratch solve after {e every} prefix of a random delta sequence,
    across the query zoo, both evaluation planes, and multicore pools. *)
@@ -11,9 +10,6 @@ open Resilience
 module Session = Res_inc.Session
 module Incflow = Res_inc.Incflow
 module Maxflow = Res_graph.Maxflow
-module Dynmatch = Res_graph.Dynmatch
-module Bipartite = Res_graph.Bipartite
-module Dyncsr = Res_col.Dyncsr
 
 let qp = Res_cq.Parser.query
 
@@ -55,94 +51,6 @@ let prop_maxflow_removal =
         if min !value Maxflow.infinite <> expect then ok := false
       done;
       if not !ok then QCheck.Test.fail_report "incremental flow value diverged from rebuild";
-      true)
-
-(* --- Dynmatch ----------------------------------------------------------- *)
-
-let prop_dynmatch =
-  QCheck.Test.make ~count:300 ~name:"dynmatch: matching size = HK rebuild; König cover valid"
-    QCheck.(int_bound 10_000_000)
-    (fun seed ->
-      let st = Random.State.make [| seed; 13 |] in
-      let nl = 1 + Random.State.int st 7 and nr = 1 + Random.State.int st 7 in
-      let g = Dynmatch.create () in
-      let live = ref [] in
-      for _ = 1 to 25 do
-        (if !live <> [] && Random.State.int st 3 = 0 then begin
-           let l, r = List.nth !live (Random.State.int st (List.length !live)) in
-           assert (Dynmatch.remove_edge g l r);
-           live :=
-             (let rec drop = function
-                | [] -> []
-                | (l', r') :: tl when l' = l && r' = r -> tl
-                | p :: tl -> p :: drop tl
-              in
-              drop !live)
-         end
-         else begin
-           let l = Random.State.int st nl and r = Random.State.int st nr in
-           Dynmatch.add_edge g l r;
-           live := (l, r) :: !live
-         end);
-        let fresh = Bipartite.create ~n_left:nl ~n_right:nr in
-        List.iter (fun (l, r) -> Bipartite.add_edge fresh l r) !live;
-        let expect = Bipartite.max_matching fresh in
-        if Dynmatch.matching_size g <> expect then
-          QCheck.Test.fail_report
-            (Printf.sprintf "matching size %d, rebuild says %d" (Dynmatch.matching_size g) expect);
-        let lc, rc = Dynmatch.min_vertex_cover g in
-        if List.length lc + List.length rc <> expect then
-          QCheck.Test.fail_report "cover size differs from matching size";
-        if not (List.for_all (fun (l, r) -> List.mem l lc || List.mem r rc) !live) then
-          QCheck.Test.fail_report "cover misses an edge"
-      done;
-      true)
-
-(* --- Dyncsr ------------------------------------------------------------- *)
-
-let prop_dyncsr =
-  QCheck.Test.make ~count:300 ~name:"dyncsr: overlay+tombstones = naive edge set"
-    QCheck.(int_bound 10_000_000)
-    (fun seed ->
-      let st = Random.State.make [| seed; 19 |] in
-      let n = 2 + Random.State.int st 8 in
-      let base =
-        (* a random initial CSR so tombstones actually mask base edges *)
-        let tbl = Hashtbl.create 16 in
-        for _ = 1 to 8 do
-          Hashtbl.replace tbl (Random.State.int st n, Random.State.int st n) ()
-        done;
-        Hashtbl.fold (fun (s, d) () acc -> (s, d, s * n + d) :: acc) tbl []
-      in
-      let t = Dyncsr.build ~n (Array.of_list base) in
-      let naive = Hashtbl.create 32 in
-      List.iter (fun (s, d, _) -> Hashtbl.replace naive (s, d) ()) base;
-      for _ = 1 to 40 do
-        let s = Random.State.int st n and d = Random.State.int st n in
-        if Hashtbl.mem naive (s, d) then begin
-          Dyncsr.remove t ~src:s ~dst:d;
-          Hashtbl.remove naive (s, d)
-        end
-        else begin
-          Dyncsr.add t ~src:s ~dst:d ~tid:0;
-          Hashtbl.replace naive (s, d) ()
-        end;
-        if Random.State.int st 10 = 0 then Dyncsr.compact t
-      done;
-      let ok = ref (Dyncsr.n_edges t = Hashtbl.length naive) in
-      for s = 0 to n - 1 do
-        let expect =
-          List.sort compare
-            (Hashtbl.fold (fun (s', d) () acc -> if s' = s then d :: acc else acc) naive [])
-        in
-        if Dyncsr.succ t s <> expect then ok := false;
-        let expect_pred =
-          List.sort compare
-            (Hashtbl.fold (fun (s', d) () acc -> if d = s then s' :: acc else acc) naive [])
-        in
-        if Dyncsr.pred t s <> expect_pred then ok := false
-      done;
-      if not !ok then QCheck.Test.fail_report "dyncsr diverged from naive set";
       true)
 
 (* --- Vdb ----------------------------------------------------------------- *)
@@ -276,8 +184,10 @@ let prop_exact_seeded =
         [ good_seed; junk_seed; good_seed ];
       true)
 
-(* --- Incflow against Flow ------------------------------------------------ *)
+(* --- Incflow against Flow and Exact ---------------------------------------- *)
 
+(* Binary queries: [Flow.solve] runs the columnar kernel, an independent
+   construction, so it serves as the oracle. *)
 let incflow_queries =
   lazy
     [|
@@ -287,27 +197,45 @@ let incflow_queries =
       qp "A(x), R(x,y), S(y,z), B(z)";
     |]
 
-let prop_incflow =
-  QCheck.Test.make ~count:200 ~name:"incflow: value and solution match Flow.solve per delta"
+(* Arity 3: [Flow.solve] builds the same {!Witness_net} as [Incflow], so
+   both are held to the exact search instead. *)
+let arity3_queries =
+  lazy
+    [|
+      qp "A(x), R(x,y,z), S(z,w)";
+      qp "R^x(x,y,z), S(z,w)";
+      qp "R(x,x,y), S(y,z)";
+      qp "R(x,y,z), T(z,w,u), B(u)";
+    |]
+
+(* [Incflow] over a random delta sequence: after every batch its value must
+   equal [oracle] (None = unbreakable) and its cut must be a genuine
+   contingency set of that size. *)
+let incflow_differential ~name ~seed_tag queries oracle =
+  QCheck.Test.make ~count:200 ~name
     QCheck.(int_bound 10_000_000)
     (fun seed ->
-      let st = Random.State.make [| seed; 41 |] in
-      let qs = Lazy.force incflow_queries in
+      let st = Random.State.make [| seed; seed_tag |] in
+      let qs = Lazy.force queries in
       let q = qs.(seed mod Array.length qs) in
       let db = Db_gen.random_for_query ~seed ~domain:3 ~tuples_per_relation:4 q in
       let t = Option.get (Incflow.create db q) in
       let cur = ref db in
       let check () =
-        match (Incflow.solution t, Flow.solve !cur q) with
-        | Solution.Unbreakable, Some Solution.Unbreakable -> ()
-        | Solution.Finite (v, facts), Some (Solution.Finite (v', _)) ->
-          if v <> v' then QCheck.Test.fail_report (Printf.sprintf "incflow %d, flow %d" v v');
+        let expect = oracle !cur q in
+        match Incflow.solution t with
+        | Solution.Unbreakable ->
+          if expect <> None then QCheck.Test.fail_report "incflow unbreakable, oracle finite"
+        | Solution.Finite (v, facts) ->
+          if expect <> Some v then
+            QCheck.Test.fail_report
+              (Printf.sprintf "incflow %d, oracle %s" v
+                 (match expect with Some e -> string_of_int e | None -> "unbreakable"));
           if not (List.for_all (Database.mem !cur) facts) then
             QCheck.Test.fail_report "incflow cut names an absent fact";
           if List.length facts <> v then QCheck.Test.fail_report "incflow cut size != value";
           if Eval.sat (Database.remove_all !cur facts) q then
             QCheck.Test.fail_report "incflow cut does not falsify the query"
-        | _ -> QCheck.Test.fail_report "unbreakable / finite mismatch"
       in
       check ();
       for _ = 1 to 8 do
@@ -318,6 +246,18 @@ let prop_incflow =
         check ()
       done;
       true)
+
+let prop_incflow =
+  incflow_differential ~name:"incflow: value and solution match Flow.solve per delta" ~seed_tag:41
+    incflow_queries (fun db q -> Solution.value (Flow.solve_exn db q))
+
+let prop_structural_arity3 =
+  incflow_differential ~name:"witness net: arity-3 Incflow and Flow.solve match Exact"
+    ~seed_tag:53 arity3_queries (fun db q ->
+      let expect = Exact.value db q in
+      if Solution.value (Flow.solve_exn db q) <> expect then
+        QCheck.Test.fail_report "Flow.solve disagrees with the exact search";
+      expect)
 
 (* --- the headline differential: sessions across the zoo ------------------ *)
 
@@ -415,18 +355,50 @@ let watch_session_basic () =
   Alcotest.(check int) "ineffective batch skipped" 3 (Session.version s);
   Alcotest.(check string) "fingerprint unchanged" fp (Session.fingerprint s)
 
+(* The split-copy naming hazard under deltas: a user relation named like
+   a copy ([A__2], [H__1]) must be neither filled from nor merged with the
+   base relation's copies, before or after updates. *)
+let split_copies_under_deltas () =
+  List.iter
+    (fun (query, facts, batches) ->
+      let q = qp query in
+      let cur = ref (Fact_syntax.database facts) in
+      let s = Session.create !cur q in
+      let check () =
+        let expect = Exact.value !cur q in
+        Alcotest.(check (option int)) (query ^ ": solver") expect (Solver.value !cur q);
+        match Session.last s with
+        | Session.Value v -> Alcotest.(check (option int)) (query ^ ": session") expect (Solution.value v)
+        | Session.Interval _ -> Alcotest.fail "interval without a deadline"
+      in
+      check ();
+      List.iter
+        (fun batch ->
+          let ds = Delta.parse batch in
+          cur := Delta.apply_db !cur ds;
+          ignore (Session.apply s ds);
+          check ())
+        batches)
+    [
+      ("A(x,y), A__2(y,z)", "A(1,2); A(2,3)", [ "+A__2(2,5)"; "-A(1,2)"; "+A(1,2); -A__2(2,5)" ]);
+      ( "H^x(x,y), H^x(y,z), H__1(x,y)",
+        "H(1,2); H(2,3); H__1(1,2)",
+        [ "+H__1(2,3)"; "+H(3,4)"; "-H__1(1,2)"; "-H(2,3)" ] );
+    ]
+
 let suite =
   [
+    Alcotest.test_case "session: split copies never alias user relations" `Quick
+      split_copies_under_deltas;
     Alcotest.test_case "strategy selection" `Quick strategy_selection;
     Alcotest.test_case "session basics" `Quick watch_session_basic;
     QCheck_alcotest.to_alcotest prop_maxflow_removal;
-    QCheck_alcotest.to_alcotest prop_dynmatch;
-    QCheck_alcotest.to_alcotest prop_dyncsr;
     QCheck_alcotest.to_alcotest prop_vdb;
     QCheck_alcotest.to_alcotest prop_engine_versioned;
     QCheck_alcotest.to_alcotest prop_simplex_warm;
     QCheck_alcotest.to_alcotest prop_exact_seeded;
     QCheck_alcotest.to_alcotest prop_incflow;
+    QCheck_alcotest.to_alcotest prop_structural_arity3;
     QCheck_alcotest.to_alcotest prop_session;
     QCheck_alcotest.to_alcotest prop_session_jobs4;
   ]

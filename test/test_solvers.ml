@@ -199,6 +199,20 @@ let solver_trace_algorithms () =
       (String.length t.algorithm > 0 && not (String.equal t.algorithm "exact"))
   | _ -> Alcotest.fail "one component expected"
 
+(* Names of the form R__k are user relations like any other: the
+   exogenous split must neither fill an empty one with R's tuples nor
+   merge one with its own copies of R. *)
+let split_copies_are_fresh () =
+  List.iter
+    (fun (query, facts, expect) ->
+      let db = Fact_syntax.database facts and query' = q query in
+      Alcotest.(check (option int)) (query ^ ": exact") (Some expect) (Exact.value db query');
+      Alcotest.(check (option int)) (query ^ ": solver") (Some expect) (Solver.value db query'))
+    [
+      ("A(x,y), A__2(y,z)", "A(1,2); A(2,3)", 0);
+      ("H^x(x,y), H^x(y,z), H__1(x,y)", "H(1,2); H(2,3); H__1(1,2)", 1);
+    ]
+
 (* --- semantic laws as properties ------------------------------------------- *)
 
 let law_queries =
@@ -358,4 +372,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_mirror_invariance;
       QCheck_alcotest.to_alcotest prop_mirror_solution_valid;
       QCheck_alcotest.to_alcotest prop_mirror_involution;
+      Alcotest.test_case "solver: split copies never alias user relations" `Quick
+        split_copies_are_fresh;
     ]
