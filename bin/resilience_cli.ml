@@ -85,23 +85,12 @@ let trace_file_arg =
 
 (* --- JSON rendering ---------------------------------------------------- *)
 
-(* The repo deliberately carries no JSON dependency; responses are flat
-   enough to render by hand (same discipline as bench/main.ml). *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+(* Responses are flat enough to render by hand, with the trace
+   exporter's escaper. *)
+let json_str s =
+  let b = Buffer.create (String.length s + 2) in
+  Res_obs.Trace.add_str b s;
   Buffer.contents b
-
-let json_str s = "\"" ^ json_escape s ^ "\""
 
 let json_obj fields =
   "{" ^ String.concat "," (List.map (fun (k, v) -> json_str k ^ ":" ^ v) fields) ^ "}"
@@ -422,24 +411,12 @@ let port_arg =
 let host_arg =
   Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"HOST" ~doc:"TCP bind/connect address.")
 
-(* "PORT", "HOST:PORT" or a filesystem path (contains '/' or no digits)
-   for a Unix-domain metrics socket. *)
-let parse_metrics_addr s =
-  match int_of_string_opt s with
-  | Some p -> Res_server.Server.Tcp ("127.0.0.1", p)
-  | None -> begin
-    match String.rindex_opt s ':' with
-    | Some i -> begin
-      let host = String.sub s 0 i in
-      let port_s = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt port_s with
-      | Some p when host <> "" -> Res_server.Server.Tcp (host, p)
-      | _ ->
-        Printf.eprintf "invalid --metrics-addr %S: expected PORT, HOST:PORT or a socket path\n" s;
-        exit 2
-    end
-    | None -> Res_server.Server.Unix_socket s
-  end
+let parse_address s =
+  match Res_server.Server.address_of_string s with
+  | Ok a -> a
+  | Error msg ->
+    prerr_endline msg;
+    exit 2
 
 let serve_cmd =
   let run socket port host workers queue hard_workers hard_queue timeout_ms no_timeout
@@ -470,7 +447,7 @@ let serve_cmd =
         hard_timeout_ms = Some 10_000;
         default_timeout_ms = (if no_timeout then None else Some timeout_ms);
         jobs = resolve_jobs jobs;
-        metrics_addr = Option.map parse_metrics_addr metrics_addr;
+        metrics_addr = Option.map parse_address metrics_addr;
       }
     in
     (match shard_id with
@@ -535,7 +512,8 @@ let serve_cmd =
   let metrics_addr_arg =
     Arg.(value & opt (some string) None & info [ "metrics-addr" ] ~docv:"ADDR"
            ~doc:"Serve the metrics registry as a Prometheus scrape endpoint on ADDR \
-                 (PORT, HOST:PORT, or a Unix-socket path).")
+                 (PORT, HOST:PORT, or a Unix-socket path containing a '/', e.g. \
+                 ./metrics.sock).")
   in
   let trace_dir_arg =
     Arg.(value & opt (some string) None & info [ "trace-dir" ] ~docv:"DIR"
@@ -568,18 +546,11 @@ let client_cmd =
           prerr_endline "empty --fleet: expected a comma-separated list of addresses";
           exit 2
         end;
-        List.map
-          (fun s ->
-            match Res_shard.Router.address_of_string s with
-            | Ok a -> a
-            | Error msg ->
-              prerr_endline msg;
-              exit 2)
-          parts
+        List.map parse_address parts
       end
       | None -> [ address_of socket port host ]
     in
-    let named = List.map (fun a -> (Res_shard.Router.address_to_string a, a)) targets in
+    let named = List.map (fun a -> (Res_server.Server.address_to_string a, a)) targets in
     let ring = Res_shard.Ring.create (List.map fst named) in
     let conns : (string, in_channel * out_channel) Hashtbl.t = Hashtbl.create 4 in
     let connect_to name addr =
@@ -750,16 +721,7 @@ let route_cmd =
     Logs.set_reporter (Logs_fmt.reporter ());
     Logs_threaded.enable ();
     Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning));
-    let shards =
-      List.map
-        (fun s ->
-          match Res_shard.Router.address_of_string s with
-          | Ok a -> a
-          | Error msg ->
-            prerr_endline msg;
-            exit 2)
-        shards
-    in
+    let shards = List.map parse_address shards in
     if shards = [] then begin
       prerr_endline "no shards given: use --shard ADDR (repeatable)";
       exit 2
@@ -950,12 +912,21 @@ let ijp_cmd =
 
 let gadget_cmd =
   let run kind cnf_s solve =
+    let bad msg =
+      prerr_endline msg;
+      exit 2
+    in
+    let literal tok =
+      match int_of_string_opt tok with
+      | Some l when l <> 0 -> l
+      | _ -> bad (Printf.sprintf "invalid CNF literal %S: expected a nonzero integer" tok)
+    in
     let clauses =
       String.split_on_char ',' cnf_s
       |> List.map (fun c ->
-             String.split_on_char ' ' (String.trim c)
-             |> List.filter (fun s -> s <> "")
-             |> List.map int_of_string)
+             match List.filter (fun s -> s <> "") (String.split_on_char ' ' (String.trim c)) with
+             | [] -> bad (Printf.sprintf "empty clause in CNF %S" cnf_s)
+             | toks -> List.map literal toks)
     in
     let n_vars = List.fold_left (fun m c -> List.fold_left (fun m l -> max m (abs l)) m c) 0 clauses in
     let f = Res_sat.Cnf.make ~n_vars clauses in

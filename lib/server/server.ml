@@ -6,6 +6,28 @@ module Obs = Res_obs.Obs
 
 type address = Unix_socket of string | Tcp of string * int
 
+let address_to_string = function
+  | Unix_socket p -> p
+  | Tcp (h, p) -> Printf.sprintf "%s:%d" h p
+
+let address_of_string s =
+  let invalid () = Error (Printf.sprintf "invalid address %S: expected PATH, HOST:PORT or PORT" s) in
+  if s = "" then Error "empty address"
+  else if String.contains s '/' then Ok (Unix_socket s)
+  else
+    match int_of_string_opt s with
+    | Some p -> Ok (Tcp ("127.0.0.1", p))
+    | None -> begin
+      match String.rindex_opt s ':' with
+      | Some i -> begin
+        let host = String.sub s 0 i in
+        match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
+        | Some p when host <> "" -> Ok (Tcp (host, p))
+        | _ -> invalid ()
+      end
+      | None -> invalid ()
+    end
+
 type config = {
   address : address;
   workers : int;
@@ -797,9 +819,7 @@ let start ?engine:(eng = Res_engine.Batch.create ()) cfg =
   t.accept_thread <- Some (Thread.create accept_loop t);
   Log.info (fun m ->
       m "listening on %s (fast lane %d workers/queue %d, hard lane %d/%d, jobs %d, default timeout %s)"
-        (match cfg.address with
-        | Unix_socket p -> p
-        | Tcp (h, p) -> Printf.sprintf "%s:%d" h p)
+        (address_to_string cfg.address)
         cfg.workers cfg.queue_capacity cfg.hard_workers cfg.hard_queue
         (max 1 cfg.jobs)
         (match cfg.default_timeout_ms with Some ms -> Printf.sprintf "%dms" ms | None -> "none"));

@@ -27,6 +27,13 @@ type address =
   | Unix_socket of string  (** path; an existing stale socket file is replaced *)
   | Tcp of string * int  (** bind address and port, e.g. [("127.0.0.1", 7227)] *)
 
+val address_of_string : string -> (address, string) result
+(** Command-line address syntax: a string containing ['/'] is a socket
+    path, all digits is a port on 127.0.0.1, ["HOST:PORT"] is TCP, and
+    anything else (including [""]) is an error. *)
+
+val address_to_string : address -> string
+
 type config = {
   address : address;
   workers : int;  (** fast-lane worker threads *)

@@ -30,31 +30,6 @@ let default_config ~address ~shards =
     health_period_ms = 500;
   }
 
-(* --- address syntax ------------------------------------------------------ *)
-
-let address_to_string = function
-  | Server.Unix_socket p -> p
-  | Server.Tcp (h, p) -> Printf.sprintf "%s:%d" h p
-
-let address_of_string s =
-  if s = "" then Error "empty shard address"
-  else if String.contains s '/' then Ok (Server.Unix_socket s)
-  else
-    match int_of_string_opt s with
-    | Some p -> Ok (Server.Tcp ("127.0.0.1", p))
-    | None -> begin
-      match String.rindex_opt s ':' with
-      | Some i -> begin
-        let host = String.sub s 0 i in
-        let port_s = String.sub s (i + 1) (String.length s - i - 1) in
-        match int_of_string_opt port_s with
-        | Some p when host <> "" -> Ok (Server.Tcp (host, p))
-        | _ -> Error (Printf.sprintf "invalid shard address %S: expected PATH, HOST:PORT or PORT" s)
-      end
-      | None ->
-        Error (Printf.sprintf "invalid shard address %S: expected PATH, HOST:PORT or PORT" s)
-    end
-
 (* --- state --------------------------------------------------------------- *)
 
 (* Per-shard breaker state.  Connections are NOT pooled here: each client
@@ -756,7 +731,7 @@ let route_key t key = Option.map (fun n -> (peer_of t n).p_addr) (Ring.route t.r
 let start cfg =
   if cfg.shards = [] then invalid_arg "Router.start: at least one shard required";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let names = List.map address_to_string cfg.shards in
+  let names = List.map Server.address_to_string cfg.shards in
   let ring = Ring.create ~replicas:cfg.replicas names in
   let peers = Hashtbl.create (List.length names) in
   List.iter2
@@ -798,7 +773,7 @@ let start cfg =
   if cfg.health_period_ms > 0 then t.health_thread <- Some (Thread.create health_loop t);
   Log.info (fun m ->
       m "routing %s over %d shards (%d replicas, retries %d, breaker %d/%dms)"
-        (address_to_string cfg.address) (List.length names) cfg.replicas cfg.retries
+        (Server.address_to_string cfg.address) (List.length names) cfg.replicas cfg.retries
         cfg.breaker_threshold cfg.breaker_cooldown_ms);
   t
 

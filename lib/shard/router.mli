@@ -69,12 +69,3 @@ val routing_key : string -> string
     canonical {!Res_engine.Canon} key when the query parses, the trimmed
     query text otherwise.  Exposed so a client given the fleet directly
     ([--fleet]) picks the same shard the router would. *)
-
-(** {2 Address syntax}
-
-    Shards are named on the command line and the ring as
-    ["/path/to.sock"] (contains a '/'), ["HOST:PORT"], or bare
-    ["PORT"]. *)
-
-val address_of_string : string -> (Res_server.Server.address, string) result
-val address_to_string : Res_server.Server.address -> string

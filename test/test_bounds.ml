@@ -322,17 +322,23 @@ let bounded_unbreakable_skips_search () =
 
 let lp_pruning_no_worse () =
   let cnf = Res_sat.Cnf.make ~n_vars:3 [ [ 1; -2; 3 ]; [ -1; 2; -3 ] ] in
-  let inst = Reductions.sat3_to_chain cnf in
-  let nodes_with lp =
-    Exact.reset_stats ();
-    (match Exact.resilience_bounded ~lp inst.Reductions.db inst.Reductions.query with
-    | Exact.Complete _ -> ()
-    | Exact.Interrupted _ -> Alcotest.fail "uncancelled search must complete");
-    (Exact.last_stats ()).Exact.nodes
-  in
-  let off = nodes_with false in
-  let on = nodes_with true in
-  check_bool "lp pruning never expands more nodes" true (on <= off)
+  List.iter
+    (fun (name, (inst : Reductions.instance)) ->
+      let run lp =
+        Exact.reset_stats ();
+        match Exact.resilience_bounded ~lp inst.db inst.query with
+        | Exact.Complete s -> (Solution.value s, (Exact.last_stats ()).Exact.nodes)
+        | Exact.Interrupted _ -> Alcotest.fail "uncancelled search must complete"
+      in
+      let v_off, off = run false in
+      let v_on, on = run true in
+      Alcotest.(check (option int)) (name ^ ": lp pruning keeps the value") v_off v_on;
+      check_bool (name ^ ": lp pruning never expands more nodes") true (on <= off))
+    [
+      ("chain", Reductions.sat3_to_chain cnf);
+      ("abperm", Reductions.sat3_to_abperm cnf);
+      ("triangle", Reductions.sat3_to_triangle cnf);
+    ]
 
 let suite =
   [

@@ -386,6 +386,70 @@ let split_copies_under_deltas () =
         [ "+H__1(2,3)"; "+H(3,4)"; "-H__1(1,2)"; "-H(2,3)" ] );
     ]
 
+(* The streaming families at scale: each must stay on its incremental
+   route (never [recompute]), and after alternating delete-initial /
+   insert-fresh deltas the maintained answer must equal a from-scratch
+   solve at every 10th prefix. *)
+let streaming_families () =
+  let n = 10_000 in
+  let k = n / 5 and u = n / 10 in
+  let st = Random.State.make [| 2026; n |] in
+  let node st = vi (Random.State.int st k) in
+  let families =
+    [
+      ( "R(x,y), R(y,x)",
+        Db_gen.power_law ~seed:31 ~nodes:k ~edges:n ~rel:"R",
+        (fun st -> Delta.insert (Database.fact "R" [ node st; node st ])),
+        "pairs" );
+      ( "A(x), R(x,y), R(y,x)",
+        Database.union
+          (Db_gen.power_law ~seed:37 ~nodes:k ~edges:(n - k) ~rel:"R")
+          (Db_gen.unary ~count:k ~rel:"A"),
+        (fun st ->
+          if Random.State.bool st then Delta.insert (Database.fact "R" [ node st; node st ])
+          else Delta.insert (Database.fact "A" [ node st ])),
+        "cover-aperm" );
+      ( "A(x), R(x,y), B(y)",
+        Database.union
+          (Db_gen.bipartite ~seed:41 ~left:u ~right:u ~edges:(n - (2 * u)) ~rel:"R")
+          (Database.union (Db_gen.unary ~count:u ~rel:"A")
+             (Database.of_rows [ ("B", List.init u (fun i -> [ vi (u + i) ])) ])),
+        (fun st ->
+          let left () = vi (Random.State.int st u) and right () = vi (u + Random.State.int st u) in
+          match Random.State.int st 3 with
+          | 0 -> Delta.insert (Database.fact "A" [ left () ])
+          | 1 -> Delta.insert (Database.fact "B" [ right () ])
+          | _ -> Delta.insert (Database.fact "R" [ left (); right () ])),
+        "flow-repair" );
+    ]
+  in
+  List.iter
+    (fun (qs, db, fresh, strategy) ->
+      let q = qp qs in
+      let s = Session.create db q in
+      Alcotest.(check (list string)) (qs ^ ": strategy") [ strategy ] (Session.strategies s);
+      let initial = Array.of_list (Database.facts db) in
+      let cur = ref db in
+      let check i =
+        match Session.last s with
+        | Session.Value got ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "%s: after %d deltas" qs i)
+            (Solver.value !cur q) (Solution.value got)
+        | Session.Interval _ -> Alcotest.fail "interval without a deadline"
+      in
+      check 0;
+      for i = 1 to 50 do
+        let d =
+          if i mod 2 = 0 then Delta.delete initial.(Random.State.int st (Array.length initial))
+          else fresh st
+        in
+        cur := Delta.apply_db !cur [ d ];
+        ignore (Session.apply s [ d ]);
+        if i mod 10 = 0 then check i
+      done)
+    families
+
 let suite =
   [
     Alcotest.test_case "session: split copies never alias user relations" `Quick
@@ -401,4 +465,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_structural_arity3;
     QCheck_alcotest.to_alcotest prop_session;
     QCheck_alcotest.to_alcotest prop_session_jobs4;
+    Alcotest.test_case "session: streaming families stay incremental" `Quick streaming_families;
   ]

@@ -523,6 +523,25 @@ let raising_listener_replies () =
   Server.stop server;
   Server.wait server
 
+(* One address syntax for --metrics-addr, --fleet, --shard and the router:
+   a '/' makes a path, so "./m:9" is a socket and not host "./m". *)
+let address_syntax () =
+  let show = function
+    | Ok (Server.Unix_socket p) -> "unix " ^ p
+    | Ok (Server.Tcp (h, p)) -> Printf.sprintf "tcp %s %d" h p
+    | Error _ -> "error"
+  in
+  List.iter
+    (fun (input, expect) ->
+      Alcotest.(check string) input expect (show (Server.address_of_string input)))
+    [
+      ("", "error");
+      ("9100", "tcp 127.0.0.1 9100");
+      ("h:9", "tcp h 9");
+      ("./m:9", "unix ./m:9");
+      ("m.sock", "error");
+    ]
+
 let suite =
   [
     Alcotest.test_case "metrics: counters" `Quick metrics_counters;
@@ -562,4 +581,5 @@ let suite =
     Alcotest.test_case "server: shutdown drains watchers" `Quick shutdown_drains_watchers;
     Alcotest.test_case "server: protocol shutdown" `Quick protocol_shutdown;
     Alcotest.test_case "server: raising lane job still replies" `Quick raising_listener_replies;
+    Alcotest.test_case "address: command-line syntax" `Quick address_syntax;
   ]
