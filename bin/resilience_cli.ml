@@ -393,8 +393,8 @@ let batch_cmd =
 
 let address_of socket port host =
   match (socket, port) with
-  | Some path, None -> Res_server.Server.Unix_socket path
-  | None, Some p -> Res_server.Server.Tcp (host, p)
+  | Some path, None -> Res_server.Net.Unix_socket path
+  | None, Some p -> Res_server.Net.Tcp (host, p)
   | Some _, Some _ ->
     prerr_endline "choose one of --socket PATH / --port N, not both";
     exit 2
@@ -412,11 +412,19 @@ let host_arg =
   Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"HOST" ~doc:"TCP bind/connect address.")
 
 let parse_address s =
-  match Res_server.Server.address_of_string s with
+  match Res_server.Net.address_of_string s with
   | Ok a -> a
   | Error msg ->
     prerr_endline msg;
     exit 2
+
+(* A listener that cannot bind (the path a live server answers on, a
+   missing directory, a port in use) is reported, not a crash. *)
+let listening start =
+  try start ()
+  with Unix.Unix_error (e, _, arg) ->
+    Printf.eprintf "cannot listen on %s: %s\n" arg (Unix.error_message e);
+    exit 3
 
 let serve_cmd =
   let run socket port host workers queue hard_workers hard_queue timeout_ms no_timeout
@@ -467,7 +475,7 @@ let serve_cmd =
           s)
         persist_dir
     in
-    let srv = Res_server.Server.start ~engine cfg in
+    let srv = listening (fun () -> Res_server.Server.start ~engine cfg) in
     let graceful _ = ignore (Thread.create (fun () -> Res_server.Server.stop srv) ()) in
     Sys.set_signal Sys.sigint (Sys.Signal_handle graceful);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle graceful);
@@ -550,35 +558,18 @@ let client_cmd =
       end
       | None -> [ address_of socket port host ]
     in
-    let named = List.map (fun a -> (Res_server.Server.address_to_string a, a)) targets in
+    let named = List.map (fun a -> (Res_server.Net.address_to_string a, a)) targets in
     let ring = Res_shard.Ring.create (List.map fst named) in
     let conns : (string, in_channel * out_channel) Hashtbl.t = Hashtbl.create 4 in
     let connect_to name addr =
-      let sockaddr, domain =
-        match addr with
-        | Res_server.Server.Unix_socket path -> (Unix.ADDR_UNIX path, Unix.PF_UNIX)
-        | Res_server.Server.Tcp (h, p) ->
-          let inet =
-            try Unix.inet_addr_of_string h
-            with Failure _ -> (Unix.gethostbyname h).Unix.h_addr_list.(0)
-          in
-          (Unix.ADDR_INET (inet, p), Unix.PF_INET)
-      in
-      let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-      let rec connect attempts =
-        try Unix.connect fd sockaddr
-        with Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) when attempts > 0 ->
-          Unix.sleepf 0.1;
-          connect (attempts - 1)
-      in
-      (try connect retry
-       with Unix.Unix_error (e, _, _) ->
-         Printf.eprintf
-           "cannot connect to %s: %s\n\
-            (is the server running there? --retry N waits N x 100ms for it)\n"
-           name (Unix.error_message e);
-         exit 3);
-      (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+      match Res_server.Net.connect ~retries:retry addr with
+      | c -> (c.ic, c.oc)
+      | exception Unix.Unix_error (e, _, _) ->
+        Printf.eprintf
+          "cannot connect to %s: %s\n\
+           (is the server running there? --retry N waits N x 100ms for it)\n"
+          name (Unix.error_message e);
+        exit 3
     in
     let channels_for key =
       let name =
@@ -738,7 +729,7 @@ let route_cmd =
         health_period_ms = health_period;
       }
     in
-    let r = Res_shard.Router.start cfg in
+    let r = listening (fun () -> Res_shard.Router.start cfg) in
     let graceful _ = ignore (Thread.create (fun () -> Res_shard.Router.stop r) ()) in
     Sys.set_signal Sys.sigint (Sys.Signal_handle graceful);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle graceful);
@@ -1148,49 +1139,21 @@ let trace_check_cmd =
 
 let scrape_cmd =
   let run socket port host =
-    let sockaddr, domain =
-      match address_of socket port host with
-      | Res_server.Server.Unix_socket path -> (Unix.ADDR_UNIX path, Unix.PF_UNIX)
-      | Res_server.Server.Tcp (h, p) ->
-        let addr =
-          try Unix.inet_addr_of_string h
-          with Failure _ -> (Unix.gethostbyname h).Unix.h_addr_list.(0)
-        in
-        (Unix.ADDR_INET (addr, p), Unix.PF_INET)
+    let c =
+      try Res_server.Net.connect (address_of socket port host)
+      with Unix.Unix_error (e, _, _) ->
+        Printf.eprintf "cannot connect: %s\n" (Unix.error_message e);
+        exit 3
     in
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd sockaddr
-     with Unix.Unix_error (e, _, _) ->
-       Printf.eprintf "cannot connect: %s\n" (Unix.error_message e);
-       exit 3);
-    let oc = Unix.out_channel_of_descr fd in
-    output_string oc "GET /metrics HTTP/1.0\r\nHost: resilience\r\n\r\n";
-    flush oc;
-    let buf = Buffer.create 4096 in
-    let chunk = Bytes.create 4096 in
-    let rec slurp () =
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> ()
-      | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        slurp ()
-    in
-    slurp ();
-    Unix.close fd;
-    let reply = Buffer.contents buf in
+    output_string c.oc "GET /metrics HTTP/1.0\r\nHost: resilience\r\n\r\n";
+    flush c.oc;
+    let reply = In_channel.input_all c.ic in
+    Res_server.Net.close c;
     (* print only the body: drop the HTTP header block *)
-    let sep = "\r\n\r\n" in
-    let rec find i =
-      if i + String.length sep > String.length reply then None
-      else if String.sub reply i (String.length sep) = sep then Some i
-      else find (i + 1)
-    in
-    let body =
-      match find 0 with
-      | Some i -> String.sub reply (i + 4) (String.length reply - i - 4)
-      | None -> reply
-    in
-    print_string body
+    print_string
+      (match Res_server.Protocol.split_on_string "\r\n\r\n" reply with
+      | _head :: (_ :: _ as body) -> String.concat "\r\n\r\n" body
+      | _ -> reply)
   in
   Cmd.v
     (Cmd.info "scrape"

@@ -89,6 +89,10 @@ let query s =
       let args, rest = parse_args [] rest in
       if is_exo then exo := name :: !exo;
       let atom = Atom.make name args in
+      (match List.find_opt (fun (b : Atom.t) -> b.rel = name) acc with
+      | Some b when Atom.arity b <> Atom.arity atom ->
+        fail "relation %s used with arities %d and %d" name (Atom.arity b) (Atom.arity atom)
+      | _ -> ());
       begin match rest with
       | [] -> List.rev (atom :: acc)
       | (Comma, off) :: [] -> fail "trailing comma at offset %d after %s" off (Atom.to_string atom)

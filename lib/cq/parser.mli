@@ -14,6 +14,7 @@
 exception Parse_error of string
 
 val query : string -> Query.t
-(** @raise Parse_error on malformed input. *)
+(** @raise Parse_error on malformed input, including a relation used
+    with two different arities. *)
 
 val query_opt : string -> (Query.t, string) result

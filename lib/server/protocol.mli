@@ -96,6 +96,10 @@ val parse : string -> (request, string) result
 (** Never raises; malformed lines come back as [Error msg] ready to be
     wrapped in an [error] response. *)
 
+val split_on_string : string -> string -> string list
+(** [split_on_string sep s] cuts [s] at every occurrence of [sep]
+    (the [;;] between batch items); [n] separators give [n + 1] parts. *)
+
 val ok : string -> string
 val error : string -> string
 

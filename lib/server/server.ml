@@ -4,32 +4,8 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 module Obs = Res_obs.Obs
 
-type address = Unix_socket of string | Tcp of string * int
-
-let address_to_string = function
-  | Unix_socket p -> p
-  | Tcp (h, p) -> Printf.sprintf "%s:%d" h p
-
-let address_of_string s =
-  let invalid () = Error (Printf.sprintf "invalid address %S: expected PATH, HOST:PORT or PORT" s) in
-  if s = "" then Error "empty address"
-  else if String.contains s '/' then Ok (Unix_socket s)
-  else
-    match int_of_string_opt s with
-    | Some p -> Ok (Tcp ("127.0.0.1", p))
-    | None -> begin
-      match String.rindex_opt s ':' with
-      | Some i -> begin
-        let host = String.sub s 0 i in
-        match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-        | Some p when host <> "" -> Ok (Tcp (host, p))
-        | _ -> invalid ()
-      end
-      | None -> invalid ()
-    end
-
 type config = {
-  address : address;
+  address : Net.address;
   workers : int;
   queue_capacity : int;
   hard_workers : int;
@@ -37,7 +13,7 @@ type config = {
   hard_timeout_ms : int option;
   default_timeout_ms : int option;
   jobs : int;
-  metrics_addr : address option;
+  metrics_addr : Net.address option;
 }
 
 let default_config address =
@@ -81,8 +57,6 @@ module Ivar = struct
     x
 end
 
-type state = Running | Stopping | Stopped
-
 type t = {
   cfg : config;
   engine : Res_engine.Batch.t;
@@ -91,15 +65,9 @@ type t = {
   exec : Res_exec.Executor.t option;
       (* the multicore substrate, shared by every worker thread's solves
          when [cfg.jobs > 1]; [None] keeps solving single-domain *)
-  listen_fd : Unix.file_descr;
-  lock : Mutex.t;
-  state_changed : Condition.t;
-  mutable state : state;
+  listener : Net.t;
+  metrics_listener : Net.t option;  (* the Prometheus scrape endpoint *)
   stop_flag : bool ref;
-  mutable conns : (Thread.t * Unix.file_descr) list;
-  mutable accept_thread : Thread.t option;
-  mutable metrics_listener : Unix.file_descr option;
-  mutable metrics_thread : Thread.t option;
   latency : Metrics.histogram;
   solve_latency : Metrics.histogram;
       (* solve/batch time on the worker, excluding queueing and I/O —
@@ -329,8 +297,8 @@ let run_bulk t ~deadline instances fill =
   Metrics.observe t.solve_latency (now () -. t0);
   fill (Frame.encode_reply (Frame.Items items))
 
-let execute_frame t payload =
-  match Frame.decode_request payload with
+let execute_frame t request =
+  match Result.bind request Frame.decode_request with
   | Error msg ->
     count t "bulk" "error";
     Frame.encode_reply (Frame.Error msg)
@@ -440,284 +408,90 @@ let execute t line =
   match Obs.span ~cat:"server" "parse" (fun () -> Protocol.parse line) with
   | Error msg ->
     count t "invalid" "error";
-    `Reply (Protocol.error msg)
+    Net.Reply (Protocol.error msg)
   | Ok Protocol.Ping ->
     count t "ping" "ok";
-    `Reply (Protocol.ok "pong")
+    Net.Reply (Protocol.ok "pong")
   | Ok Protocol.Stats ->
     count t "stats" "ok";
-    `Reply (stats_reply t)
+    Net.Reply (stats_reply t)
   | Ok Protocol.Stats_prom ->
     count t "stats_prom" "ok";
-    `Reply (Protocol.prom_reply (Metrics.render_prometheus t.metrics))
+    Net.Reply (Protocol.prom_reply (Metrics.render_prometheus t.metrics))
   | Ok (Protocol.Classify q_s) -> begin
     match Res_cq.Parser.query_opt q_s with
     | Error msg ->
       count t "classify" "error";
-      `Reply (Protocol.error ("query: " ^ msg))
+      Net.Reply (Protocol.error ("query: " ^ msg))
     | Ok q ->
       let verdict = Res_engine.Batch.classify t.engine q in
       count t "classify" "ok";
-      `Reply (Protocol.ok (Resilience.Classify.verdict_to_string verdict))
+      Net.Reply (Protocol.ok (Resilience.Classify.verdict_to_string verdict))
   end
   | Ok (Protocol.Solve { timeout_ms; body }) ->
-    `Reply (submit_solve t ~kind:"solve" ~timeout_ms [ body ])
+    Net.Reply (submit_solve t ~kind:"solve" ~timeout_ms [ body ])
   | Ok (Protocol.Resp { timeout_ms; fact; body }) ->
-    `Reply (submit_resp t ~timeout_ms ~fact_s:fact body)
+    Net.Reply (submit_resp t ~timeout_ms ~fact_s:fact body)
   | Ok (Protocol.Batch { timeout_ms; bodies }) ->
-    `Reply (submit_solve t ~kind:"batch" ~timeout_ms bodies)
+    Net.Reply (submit_solve t ~kind:"batch" ~timeout_ms bodies)
   | Ok (Protocol.Watch_register { timeout_ms; body }) ->
-    `Reply (watch_register t ~timeout_ms body)
+    Net.Reply (watch_register t ~timeout_ms body)
   | Ok (Protocol.Watch_delta { timeout_ms; id; deltas }) ->
-    `Reply (watch_delta t ~timeout_ms id deltas)
-  | Ok (Protocol.Watch_close id) -> `Reply (watch_close t id)
+    Net.Reply (watch_delta t ~timeout_ms id deltas)
+  | Ok (Protocol.Watch_close id) -> Net.Reply (watch_close t id)
   | Ok Protocol.Quit ->
     count t "quit" "ok";
-    `Close (Protocol.ok "bye")
+    Net.Close (Protocol.ok "bye")
   | Ok Protocol.Shutdown ->
     count t "shutdown" "ok";
-    `Shutdown (Protocol.ok "shutting down")
+    Net.Shutdown (Protocol.ok "shutting down")
 
-(* --- connection and accept loops ---------------------------------------- *)
+(* --- lifecycle ----------------------------------------------------------- *)
 
-let unregister t fd =
-  Mutex.protect t.lock (fun () ->
-      t.conns <- List.filter (fun (_, fd') -> fd' != fd) t.conns)
-
-let rec stop t =
-  let join_state =
-    Mutex.protect t.lock (fun () ->
-        match t.state with
-        | Running ->
-          t.state <- Stopping;
-          `Lead
-        | Stopping -> `Follow
-        | Stopped -> `Done)
+(* The server's part of {!Net.stop}, run once the listener is closed and
+   every connection's read side is shut. *)
+let drain t =
+  Log.info (fun m -> m "stopping: draining in-flight work");
+  (* cooperative cancellation of every in-flight solve; their clients
+     still receive a [timeout] answer *)
+  t.stop_flag := true;
+  Option.iter Net.stop t.metrics_listener;
+  (* drain the queues, join the workers, then retire the executor's
+     domains (no solve can be in flight once the lanes are down) *)
+  Lanes.shutdown t.lanes;
+  Option.iter Res_exec.Executor.shutdown t.exec;
+  (* every watch session dies with the server that owns it: drop them
+     now (after the lanes drained, so no delta job can still hold one)
+     and account for the drain — [watchers.active] reads 0 from here
+     on, and [watchers.drained] records how many were retired *)
+  let drained =
+    Mutex.protect t.watchers_lock (fun () ->
+        let n = Hashtbl.length t.watchers in
+        Hashtbl.reset t.watchers;
+        n)
   in
-  match join_state with
-  | `Done -> ()
-  | `Follow ->
-    Mutex.lock t.lock;
-    while t.state <> Stopped do
-      Condition.wait t.state_changed t.lock
-    done;
-    Mutex.unlock t.lock
-  | `Lead ->
-    Log.info (fun m -> m "stopping: draining in-flight work");
-    (* cooperative cancellation of every in-flight solve; their clients
-       still receive a [timeout] answer *)
-    t.stop_flag := true;
-    (* [shutdown] (not [close]) wakes a thread blocked in [accept]; the
-       fd itself is closed only after the accept thread is joined, so
-       its number cannot be recycled under the accept loop's feet *)
-    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    let self = Thread.id (Thread.self ()) in
-    (match t.accept_thread with
-    | Some th when Thread.id th <> self -> Thread.join th
-    | _ -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (match t.cfg.address with
-    | Unix_socket path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Tcp _ -> ());
-    (* retire the scrape endpoint the same way as the main listener *)
-    (match t.metrics_listener with
-    | None -> ()
-    | Some fd ->
-      (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-      (match t.metrics_thread with
-      | Some th when Thread.id th <> self -> Thread.join th
-      | _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      (match t.cfg.metrics_addr with
-      | Some (Unix_socket path) -> (try Unix.unlink path with Unix.Unix_error _ -> ())
-      | _ -> ()));
-    (* half-close the read side of every connection: readers see EOF and
-       exit once their current request is answered; the write side stays
-       open so pending replies are still delivered.  (shutdown, not
-       close: the fd stays valid until its own thread releases it.) *)
-    let conns = Mutex.protect t.lock (fun () -> t.conns) in
-    List.iter
-      (fun (_, fd) -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-      conns;
-    (* drain the queues, join the workers, then retire the executor's
-       domains (no solve can be in flight once the lanes are down) *)
-    Lanes.shutdown t.lanes;
-    Option.iter Res_exec.Executor.shutdown t.exec;
-    (* every watch session dies with the server that owns it: drop them
-       now (after the lanes drained, so no delta job can still hold one)
-       and account for the drain — [watchers.active] reads 0 from here
-       on, and [watchers.drained] records how many were retired *)
-    let drained =
-      Mutex.protect t.watchers_lock (fun () ->
-          let n = Hashtbl.length t.watchers in
-          Hashtbl.reset t.watchers;
-          n)
-    in
-    if drained > 0 then
-      Metrics.inc ~by:drained (Metrics.counter t.metrics "watchers.drained");
-    List.iter (fun (th, _) -> if Thread.id th <> self then Thread.join th) conns;
-    Mutex.protect t.lock (fun () ->
-        t.state <- Stopped;
-        Condition.broadcast t.state_changed);
-    Log.info (fun m -> m "stopped")
+  if drained > 0 then Metrics.inc ~by:drained (Metrics.counter t.metrics "watchers.drained")
 
-and conn_loop t fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let send line =
-    Obs.span ~cat:"server" "reply" @@ fun () ->
-    output_string oc line;
-    output_char oc '\n';
-    flush oc
-  in
-  (* Text and binary share the connection: the first byte of each request
-     decides.  {!Frame.magic} (0xF5) is not valid UTF-8 text and never
-     starts a protocol verb, so the dispatch is unambiguous. *)
-  let read_request () =
-    match input_char ic with
-    | exception (End_of_file | Sys_error _) -> `Eof
-    | exception Unix.Unix_error _ -> `Eof
-    | c when c = Frame.magic -> begin
-      match Frame.read_frame_body ic with
-      | Ok payload -> `Frame payload
-      | Error msg -> `Frame_error msg
-      | exception (End_of_file | Sys_error _) -> `Eof
-    end
-    | '\n' -> `Line ""
-    | c ->
-      let b = Buffer.create 128 in
-      Buffer.add_char b c;
-      let rec go () =
-        match input_char ic with
-        | exception (End_of_file | Sys_error _) -> `Line (Buffer.contents b)
-        | exception Unix.Unix_error _ -> `Line (Buffer.contents b)
-        | '\n' -> `Line (Buffer.contents b)
-        | c ->
-          Buffer.add_char b c;
-          go ()
-      in
-      go ()
-  in
-  let rec loop () =
-    match read_request () with
-    | `Eof -> ()
-    | `Line line when String.trim line = "" -> loop ()
-    | `Line line ->
-      Log.debug (fun m -> m "request: %s" line);
-      let t0 = now () in
-      let action = Obs.span ~cat:"server" "request" (fun () -> execute t line) in
-      (* observed before the reply is written: once a client holds a
-         response, the corresponding histogram entry is visible *)
-      Metrics.observe t.latency (now () -. t0);
-      (match action with
-      | `Reply reply ->
-        send reply;
-        loop ()
-      | `Close reply -> send reply
-      | `Shutdown reply ->
-        send reply;
-        stop t)
-    | `Frame payload ->
-      let t0 = now () in
-      let reply = Obs.span ~cat:"server" "request" (fun () -> execute_frame t payload) in
-      Metrics.observe t.latency (now () -. t0);
-      Frame.write_frame oc reply;
-      loop ()
-    | `Frame_error msg ->
-      (* a malformed frame desyncs the stream: answer and hang up *)
-      count t "bulk" "error";
-      Frame.write_frame oc (Frame.encode_reply (Frame.Error msg))
-  in
-  (try loop () with _ -> ());
-  unregister t fd;
-  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  (try Unix.close fd with Unix.Unix_error _ -> ())
-
-let accept_loop t =
-  let rec loop () =
-    match Unix.accept t.listen_fd with
-    | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> loop ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    | exception Unix.Unix_error _ ->
-      (* the listener was closed: shutdown *)
-      ()
-    | fd, _ ->
-      if Obs.enabled () then Obs.instant ~cat:"server" "accept";
-      let accepted =
-        Mutex.protect t.lock (fun () ->
-            if t.state <> Running then false
-            else begin
-              let th = Thread.create (fun () -> conn_loop t fd) () in
-              t.conns <- (th, fd) :: t.conns;
-              true
-            end)
-      in
-      if not accepted then begin
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-      end;
-      loop ()
-  in
-  loop ()
-
-(* --- startup ------------------------------------------------------------- *)
-
-let bind_listener = function
-  | Unix_socket path ->
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (* a stale socket file from a crashed server would make bind fail *)
-    (try Unix.unlink path with Unix.Unix_error _ -> ());
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    fd
-  | Tcp (host, port) ->
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    let addr =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    in
-    Unix.bind fd (Unix.ADDR_INET (addr, port));
-    fd
+let stop t = Net.stop t.listener
+let wait t = Net.wait t.listener
 
 (* A deliberately minimal HTTP/1.0 responder for Prometheus scrapes:
    whatever the request head says, the answer is one 200 with the
-   current exposition text and the connection closes.  Scrapes are rare
-   (seconds apart) so one thread handling them serially is plenty. *)
-let metrics_loop t listen_fd =
-  let respond fd =
-    let body = Metrics.render_prometheus t.metrics in
-    let resp =
-      Printf.sprintf
-        "HTTP/1.0 200 OK\r\n\
-         Content-Type: text/plain; version=0.0.4\r\n\
-         Content-Length: %d\r\n\
-         Connection: close\r\n\
-         \r\n\
-         %s"
-        (String.length body) body
-    in
-    let n = String.length resp in
-    let written = ref 0 in
-    while !written < n do
-      written := !written + Unix.write_substring fd resp !written (n - !written)
-    done
-  in
-  let rec loop () =
-    match Unix.accept listen_fd with
-    | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EINTR), _, _) -> loop ()
-    | exception Unix.Unix_error _ -> () (* listener closed: shutdown *)
-    | fd, _ ->
-      if Obs.enabled () then Obs.instant ~cat:"server" "scrape";
-      (try
-         (* read (a chunk of) the request head and ignore it *)
-         let buf = Bytes.create 2048 in
-         ignore (Unix.read fd buf 0 (Bytes.length buf));
-         respond fd
-       with Unix.Unix_error _ | Sys_error _ -> ());
-      (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      loop ()
-  in
-  loop ()
+   current exposition text and the connection closes. *)
+let scrape t _ (c : Net.conn) =
+  if Obs.enabled () then Obs.instant ~cat:"server" "scrape";
+  (* read (a chunk of) the request head and ignore it *)
+  ignore (Unix.read c.fd (Bytes.create 2048) 0 2048);
+  let body = Metrics.render_prometheus t.metrics in
+  Printf.fprintf c.oc
+    "HTTP/1.0 200 OK\r\n\
+     Content-Type: text/plain; version=0.0.4\r\n\
+     Content-Length: %d\r\n\
+     Connection: close\r\n\
+     \r\n\
+     %s"
+    (String.length body) body;
+  flush c.oc
 
 let register_engine_gauges metrics (engine : Res_engine.Batch.t) =
   let s = Res_engine.Batch.stats engine in
@@ -743,34 +517,36 @@ let register_executor_gauges metrics =
   g "executor.parks" (fun s -> s.Res_exec.Executor.parks)
 
 let start ?engine:(eng = Res_engine.Batch.create ()) cfg =
-  (* a client hanging up mid-reply must not kill the process *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let listen_fd = bind_listener cfg.address in
-  Unix.listen listen_fd 64;
-  let metrics = Metrics.create () in
-  let lanes =
-    Lanes.create ~fast_workers:cfg.workers ~fast_capacity:cfg.queue_capacity
-      ~hard_workers:cfg.hard_workers ~hard_capacity:cfg.hard_queue
+  (* whatever is acquired is released again when a later step fails: a
+     failed start leaves no socket bound and no worker running *)
+  let acquired = ref [] in
+  let hold release x =
+    acquired := (fun () -> release x) :: !acquired;
+    x
   in
-  let exec =
-    if cfg.jobs > 1 then Some (Res_exec.Executor.create ~jobs:cfg.jobs ()) else None
-  in
-  let t =
+  match
+    let listener = hold Net.stop (Net.listen ~cat:"server" cfg.address) in
+    let metrics_listener = Option.map (fun a -> hold Net.stop (Net.listen a)) cfg.metrics_addr in
+    let lanes =
+      hold Lanes.shutdown
+        (Lanes.create ~fast_workers:cfg.workers ~fast_capacity:cfg.queue_capacity
+           ~hard_workers:cfg.hard_workers ~hard_capacity:cfg.hard_queue)
+    in
+    let exec =
+      if cfg.jobs > 1 then
+        Some (hold Res_exec.Executor.shutdown (Res_exec.Executor.create ~jobs:cfg.jobs ()))
+      else None
+    in
+    let metrics = Metrics.create () in
     {
       cfg;
       engine = eng;
       metrics;
       lanes;
       exec;
-      listen_fd;
-      lock = Mutex.create ();
-      state_changed = Condition.create ();
-      state = Running;
+      listener;
+      metrics_listener;
       stop_flag = ref false;
-      conns = [];
-      accept_thread = None;
-      metrics_listener = None;
-      metrics_thread = None;
       latency = Metrics.histogram metrics "latency.request";
       solve_latency = Metrics.histogram metrics "latency.solve";
       resp_latency = Metrics.histogram metrics "latency.resp";
@@ -784,50 +560,45 @@ let start ?engine:(eng = Res_engine.Batch.create ()) cfg =
       watchers_lock = Mutex.create ();
       next_watch = 1;
     }
-  in
-  Metrics.gauge metrics "watchers.active" (fun () ->
-      float_of_int (Mutex.protect t.watchers_lock (fun () -> Hashtbl.length t.watchers)));
-  (* [queue.*] keeps its pre-lane meaning (the fast/general queue) so
-     existing dashboards survive; the per-lane series are new in v5 *)
-  Metrics.gauge metrics "queue.depth" (fun () -> float_of_int (Lanes.depth lanes Lanes.Fast));
-  Metrics.gauge metrics "queue.running" (fun () ->
-      float_of_int (Lanes.running lanes Lanes.Fast));
-  Metrics.gauge metrics "lane.fast.depth" (fun () ->
-      float_of_int (Lanes.depth lanes Lanes.Fast));
-  Metrics.gauge metrics "lane.fast.running" (fun () ->
-      float_of_int (Lanes.running lanes Lanes.Fast));
-  Metrics.gauge metrics "lane.hard.depth" (fun () ->
-      float_of_int (Lanes.depth lanes Lanes.Hard));
-  Metrics.gauge metrics "lane.hard.running" (fun () ->
-      float_of_int (Lanes.running lanes Lanes.Hard));
-  Metrics.gauge metrics "connections.active" (fun () ->
-      float_of_int (Mutex.protect t.lock (fun () -> List.length t.conns)));
-  register_engine_gauges metrics eng;
-  register_executor_gauges metrics;
-  (match cfg.metrics_addr with
-  | None -> ()
-  | Some addr ->
-    let fd = bind_listener addr in
-    Unix.listen fd 16;
-    t.metrics_listener <- Some fd;
-    t.metrics_thread <- Some (Thread.create (fun () -> metrics_loop t fd) ());
+  with
+  | exception e ->
+    List.iter (fun release -> release ()) !acquired;
+    raise e
+  | t ->
+    let metrics = t.metrics and lanes = t.lanes in
+    Metrics.gauge metrics "watchers.active" (fun () ->
+        float_of_int (Mutex.protect t.watchers_lock (fun () -> Hashtbl.length t.watchers)));
+    (* [queue.*] keeps its pre-lane meaning (the fast/general queue) so
+       existing dashboards survive; the per-lane series are new in v5 *)
+    Metrics.gauge metrics "queue.depth" (fun () -> float_of_int (Lanes.depth lanes Lanes.Fast));
+    Metrics.gauge metrics "queue.running" (fun () ->
+        float_of_int (Lanes.running lanes Lanes.Fast));
+    Metrics.gauge metrics "lane.fast.depth" (fun () ->
+        float_of_int (Lanes.depth lanes Lanes.Fast));
+    Metrics.gauge metrics "lane.fast.running" (fun () ->
+        float_of_int (Lanes.running lanes Lanes.Fast));
+    Metrics.gauge metrics "lane.hard.depth" (fun () ->
+        float_of_int (Lanes.depth lanes Lanes.Hard));
+    Metrics.gauge metrics "lane.hard.running" (fun () ->
+        float_of_int (Lanes.running lanes Lanes.Hard));
+    Metrics.gauge metrics "connections.active" (fun () -> float_of_int (Net.active t.listener));
+    register_engine_gauges metrics eng;
+    register_executor_gauges metrics;
+    Option.iter (fun l -> Net.serve l ~drain:ignore (scrape t)) t.metrics_listener;
+    Option.iter
+      (fun a ->
+        Log.info (fun m ->
+            m "metrics scrape endpoint on %s"
+              (match a with
+              | Net.Tcp (h, p) -> Printf.sprintf "http://%s:%d/metrics" h p
+              | a -> Net.address_to_string a)))
+      cfg.metrics_addr;
+    let handler = { Net.line = execute t; frame = execute_frame t; finish = ignore } in
+    Net.serve t.listener ~drain:(fun () -> drain t) (Net.lines ~latency:t.latency (fun () -> handler));
     Log.info (fun m ->
-        m "metrics scrape endpoint on %s"
-          (match addr with
-          | Unix_socket p -> p
-          | Tcp (h, p) -> Printf.sprintf "http://%s:%d/metrics" h p)));
-  t.accept_thread <- Some (Thread.create accept_loop t);
-  Log.info (fun m ->
-      m "listening on %s (fast lane %d workers/queue %d, hard lane %d/%d, jobs %d, default timeout %s)"
-        (address_to_string cfg.address)
-        cfg.workers cfg.queue_capacity cfg.hard_workers cfg.hard_queue
-        (max 1 cfg.jobs)
-        (match cfg.default_timeout_ms with Some ms -> Printf.sprintf "%dms" ms | None -> "none"));
-  t
-
-let wait t =
-  Mutex.lock t.lock;
-  while t.state <> Stopped do
-    Condition.wait t.state_changed t.lock
-  done;
-  Mutex.unlock t.lock
+        m "listening on %s (fast lane %d workers/queue %d, hard lane %d/%d, jobs %d, default timeout %s)"
+          (Net.address_to_string cfg.address)
+          cfg.workers cfg.queue_capacity cfg.hard_workers cfg.hard_queue
+          (max 1 cfg.jobs)
+          (match cfg.default_timeout_ms with Some ms -> Printf.sprintf "%dms" ms | None -> "none"));
+    t

@@ -2,8 +2,8 @@
 
     Architecture (see DESIGN.md):
 
-    - an {e accept thread} takes connections on a Unix-domain or TCP
-      socket and spawns one reader thread per connection;
+    - a {!Net} listener takes connections on a Unix-domain or TCP
+      socket and runs one reader thread per connection;
     - connection threads parse {!Protocol} lines; cheap requests (ping,
       classify, stats) run inline, solves are submitted to a bounded
       {!Pool} — when the queue is full the request is refused with
@@ -15,27 +15,16 @@
     - a solve that raises still answers exactly once, with
       [error internal: <exception>], counted as
       [requests.<kind>.internal_error], and its connection stays usable;
-    - {!stop} is graceful: the listener closes, in-flight solves are
-      cancelled (their clients still get a [timeout] answer), queued jobs
-      drain, and every thread is joined.
+    - {!stop} is graceful ({!Net.stop}): the listener closes, in-flight
+      solves are cancelled (their clients still get a [timeout] answer),
+      queued jobs drain, and every thread is joined.
 
     All requests share one {!Res_engine.Batch} engine, so the canonical
     query/solution caches are warmed across connections; cache behaviour
     is surfaced through the metrics registry ([stats] command). *)
 
-type address =
-  | Unix_socket of string  (** path; an existing stale socket file is replaced *)
-  | Tcp of string * int  (** bind address and port, e.g. [("127.0.0.1", 7227)] *)
-
-val address_of_string : string -> (address, string) result
-(** Command-line address syntax: a string containing ['/'] is a socket
-    path, all digits is a port on 127.0.0.1, ["HOST:PORT"] is TCP, and
-    anything else (including [""]) is an error. *)
-
-val address_to_string : address -> string
-
 type config = {
-  address : address;
+  address : Net.address;
   workers : int;  (** fast-lane worker threads *)
   queue_capacity : int;  (** max queued (not yet running) fast-lane solves *)
   hard_workers : int;  (** hard-lane worker threads *)
@@ -58,7 +47,7 @@ type config = {
           exact searches fork their subtrees, so solves actually use
           [jobs] cores.  [<= 1] (the default) means no executor —
           byte-for-byte the old single-domain behaviour *)
-  metrics_addr : address option;
+  metrics_addr : Net.address option;
       (** when set, a second listener serving the metrics registry as
           Prometheus text over minimal HTTP — any request answers one
           [200 text/plain] scrape and closes.  [None] (the default)
@@ -66,7 +55,7 @@ type config = {
           available either way *)
 }
 
-val default_config : address -> config
+val default_config : Net.address -> config
 (** 4 fast workers (queue 64), 2 hard workers (queue 32, 10s anytime
     deadline), default timeout 30s, jobs 1, no metrics listener. *)
 
@@ -74,8 +63,11 @@ type t
 
 val start : ?engine:Res_engine.Batch.t -> config -> t
 (** Binds, listens and spawns the accept thread; returns immediately.
-    [engine] defaults to a fresh cached engine.
-    @raise Unix.Unix_error when the address cannot be bound. *)
+    [engine] defaults to a fresh cached engine.  A start that fails
+    releases whatever it acquired (sockets, workers, executor) before
+    the exception escapes.
+    @raise Unix.Unix_error when an address cannot be bound, including
+    [EADDRINUSE] for a socket path a live server answers on. *)
 
 val stop : t -> unit
 (** Graceful shutdown as described above.  Idempotent; a concurrent
@@ -88,12 +80,7 @@ val wait : t -> unit
 val metrics : t -> Metrics.t
 val engine : t -> Res_engine.Batch.t
 
-val bind_listener : address -> Unix.file_descr
-(** Bind (but not listen) a socket for this address, replacing a stale
-    Unix-socket file.  Exposed for the shard router, which fronts the
-    same addresses with its own accept loop.
-    @raise Unix.Unix_error when the address cannot be bound. *)
-
 val src : Logs.src
-(** The ["resilience.server"] log source: lifecycle events at info,
-    per-request lines at debug. *)
+(** The ["resilience.server"] log source: lifecycle events at info.
+    Per-request lines are logged at debug by {!Net}'s ["resilience.net"]
+    source. *)

@@ -1,4 +1,4 @@
-module Server = Res_server.Server
+module Net = Res_server.Net
 module Protocol = Res_server.Protocol
 module Metrics = Res_server.Metrics
 module Frame = Res_server.Frame
@@ -8,8 +8,8 @@ let src = Logs.Src.create "resilience.router" ~doc:"Resilience shard router"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 type config = {
-  address : Server.address;
-  shards : Server.address list;
+  address : Net.address;
+  shards : Net.address list;
   replicas : int;
   retries : int;
   backoff_ms : int;
@@ -37,14 +37,12 @@ let default_config ~address ~shards =
    clients reach one shard over distinct connections (request/reply on a
    connection is serial — sharing one would serialize the fleet). *)
 type peer = {
-  p_addr : Server.address;
+  p_addr : Net.address;
   p_name : string;
   p_lock : Mutex.t;
   mutable fails : int;  (* consecutive failures *)
   mutable open_until : float;  (* breaker open before this time; 0. = closed *)
 }
-
-type state = Running | Stopping | Stopped
 
 type t = {
   cfg : config;
@@ -52,12 +50,7 @@ type t = {
   peers : (string, peer) Hashtbl.t;
   metrics : Metrics.t;
   latency : Metrics.histogram;
-  listen_fd : Unix.file_descr;
-  lock : Mutex.t;
-  state_changed : Condition.t;
-  mutable state : state;
-  mutable conns : (Thread.t * Unix.file_descr) list;
-  mutable accept_thread : Thread.t option;
+  listener : Net.t;
   mutable health_thread : Thread.t option;
   watch_lock : Mutex.t;
   watches : (int, string * int) Hashtbl.t;  (* router id -> (peer, shard watch id) *)
@@ -94,41 +87,14 @@ let note_failure t peer =
 
 (* --- upstream connections ------------------------------------------------ *)
 
-type upstream = { up_fd : Unix.file_descr; up_ic : in_channel; up_oc : out_channel }
-
-let connect_addr ?recv_timeout addr =
-  let sockaddr, domain =
-    match addr with
-    | Server.Unix_socket path -> (Unix.ADDR_UNIX path, Unix.PF_UNIX)
-    | Server.Tcp (h, p) ->
-      let inet =
-        try Unix.inet_addr_of_string h
-        with Failure _ -> (Unix.gethostbyname h).Unix.h_addr_list.(0)
-      in
-      (Unix.ADDR_INET (inet, p), Unix.PF_INET)
-  in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd sockaddr
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  (match recv_timeout with
-  | Some s -> ( try Unix.setsockopt_float fd Unix.SO_RCVTIMEO s with Unix.Unix_error _ -> ())
-  | None -> ());
-  { up_fd = fd; up_ic = Unix.in_channel_of_descr fd; up_oc = Unix.out_channel_of_descr fd }
-
-let close_upstream u =
-  (try Unix.shutdown u.up_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  try Unix.close u.up_fd with Unix.Unix_error _ -> ()
-
 (* The per-client-thread cache of upstream connections, one per shard. *)
-type cache = (string, upstream) Hashtbl.t
+type cache = (string, Net.conn) Hashtbl.t
 
 let cached_conn (cache : cache) peer =
   match Hashtbl.find_opt cache peer.p_name with
   | Some u -> u
   | None ->
-    let u = connect_addr peer.p_addr in
+    let u = Net.connect peer.p_addr in
     Hashtbl.replace cache peer.p_name u;
     u
 
@@ -136,10 +102,10 @@ let drop_conn (cache : cache) peer =
   match Hashtbl.find_opt cache peer.p_name with
   | Some u ->
     Hashtbl.remove cache peer.p_name;
-    close_upstream u
+    Net.close u
   | None -> ()
 
-let close_cache (cache : cache) = Hashtbl.iter (fun _ u -> close_upstream u) cache
+let close_cache (cache : cache) = Hashtbl.iter (fun _ u -> Net.close u) cache
 
 (* One text round trip.  Any I/O failure (connect refused, mid-reply EOF,
    reset) is an [Error]: the connection is dropped so the next attempt
@@ -147,10 +113,10 @@ let close_cache (cache : cache) = Hashtbl.iter (fun _ u -> close_upstream u) cac
 let send_text cache peer line =
   match
     let u = cached_conn cache peer in
-    output_string u.up_oc line;
-    output_char u.up_oc '\n';
-    flush u.up_oc;
-    input_line u.up_ic
+    output_string u.oc line;
+    output_char u.oc '\n';
+    flush u.oc;
+    input_line u.ic
   with
   | reply -> Ok reply
   | exception (End_of_file | Sys_error _) ->
@@ -164,8 +130,8 @@ let send_text cache peer line =
 let send_frame cache peer payload =
   match
     let u = cached_conn cache peer in
-    Frame.write_frame u.up_oc payload;
-    Frame.read_frame u.up_ic
+    Frame.write_frame u.oc payload;
+    Frame.read_frame u.ic
   with
   | Ok reply -> Ok reply
   | Error msg ->
@@ -249,22 +215,6 @@ let routing_key body =
 let starts_with prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
 
-let split_on_string sep s =
-  let seplen = String.length sep in
-  let rec go start acc =
-    match
-      let rec find i =
-        if i + seplen > String.length s then None
-        else if String.sub s i seplen = sep then Some i
-        else find (i + 1)
-      in
-      find start
-    with
-    | Some i -> go (i + seplen) (String.sub s start (i - start) :: acc)
-    | None -> List.rev (String.sub s start (String.length s - start) :: acc)
-  in
-  go 0 []
-
 let count_reply t kind reply =
   let outcome =
     if starts_with "ok" reply then "ok"
@@ -318,7 +268,7 @@ let forward_batch t cache ~timeout_ms bodies =
         let payload = String.sub reply 3 (max 0 (String.length reply - 3)) in
         let parts =
           if payload = "" then []
-          else List.map String.trim (split_on_string ";;" payload)
+          else List.map String.trim (Protocol.split_on_string ";;" payload)
         in
         if List.length parts <> List.length items then
           Error (Protocol.error "shard answered a different number of batch items")
@@ -436,40 +386,45 @@ let stats_reply t =
      :: ("breaker.open", string_of_int open_breakers)
      :: Metrics.render t.metrics)
 
+(* One request on a fresh short-timeout connection: health probes and
+   the fleet-wide shutdown. *)
+let ask peer line =
+  let u = Net.connect ~recv_timeout:2.0 peer.p_addr in
+  Fun.protect
+    ~finally:(fun () -> Net.close u)
+    (fun () ->
+      output_string u.oc (line ^ "\n");
+      flush u.oc;
+      input_line u.ic)
+
 let shutdown_shards t =
   Hashtbl.iter
     (fun _ peer ->
-      try
-        let u = connect_addr ~recv_timeout:2.0 peer.p_addr in
-        (try
-           output_string u.up_oc "shutdown\n";
-           flush u.up_oc;
-           ignore (input_line u.up_ic)
-         with End_of_file | Sys_error _ | Unix.Unix_error _ -> ());
-        close_upstream u
-      with Unix.Unix_error _ | Sys_error _ -> ())
+      try ignore (ask peer "shutdown") with End_of_file | Sys_error _ | Unix.Unix_error _ -> ())
     t.peers
 
-let rec execute t cache line =
+let execute t cache line =
   match Protocol.parse line with
   | Error msg ->
     count t "requests.invalid.error";
-    `Reply (Protocol.error msg)
+    Net.Reply (Protocol.error msg)
   | Ok Protocol.Ping ->
     count t "requests.ping.ok";
-    `Reply (Protocol.ok "pong")
+    Net.Reply (Protocol.ok "pong")
   | Ok Protocol.Stats ->
     count t "requests.stats.ok";
-    `Reply (stats_reply t)
+    Net.Reply (stats_reply t)
   | Ok Protocol.Stats_prom ->
     count t "requests.stats_prom.ok";
-    `Reply (Protocol.prom_reply (Metrics.render_prometheus t.metrics))
+    Net.Reply (Protocol.prom_reply (Metrics.render_prometheus t.metrics))
   | Ok Protocol.Quit ->
     count t "requests.quit.ok";
-    `Close (Protocol.ok "bye")
+    Net.Close (Protocol.ok "bye")
   | Ok Protocol.Shutdown ->
     count t "requests.shutdown.ok";
-    `Shutdown (Protocol.ok "shutting down")
+    (* one verb takes the whole fleet down *)
+    shutdown_shards t;
+    Net.Shutdown (Protocol.ok "shutting down")
   | Ok (Protocol.Classify q_s) ->
     let key = routing_key q_s in
     let r =
@@ -478,7 +433,7 @@ let rec execute t cache line =
       | Error e -> e
     in
     count_reply t "classify" r;
-    `Reply r
+    Net.Reply r
   | Ok (Protocol.Solve { timeout_ms = _; body }) ->
     let key = routing_key body in
     let r =
@@ -487,7 +442,7 @@ let rec execute t cache line =
       | Error e -> e
     in
     count_reply t "solve" r;
-    `Reply r
+    Net.Reply r
   | Ok (Protocol.Resp { timeout_ms = _; fact = _; body }) ->
     (* route by the instance body (the query class), not the fact: every
        responsibility question about one instance lands on the shard
@@ -499,13 +454,13 @@ let rec execute t cache line =
       | Error e -> e
     in
     count_reply t "resp" r;
-    `Reply r
+    Net.Reply r
   | Ok (Protocol.Batch { timeout_ms; bodies }) ->
     let r =
       match forward_batch t cache ~timeout_ms bodies with Ok reply -> reply | Error e -> e
     in
     count_reply t "batch" r;
-    `Reply r
+    Net.Reply r
   | Ok (Protocol.Watch_register { timeout_ms = _; body }) ->
     let key = routing_key body in
     let r =
@@ -517,12 +472,12 @@ let rec execute t cache line =
       | Error e -> e
     in
     count_reply t "watch_register" r;
-    `Reply r
+    Net.Reply r
   | Ok (Protocol.Watch_delta { timeout_ms; id; deltas }) -> begin
     match find_watch t id with
     | None ->
       count t "requests.watch_delta.error";
-      `Reply (Protocol.error (Printf.sprintf "no such watch id %d" id))
+      Net.Reply (Protocol.error (Printf.sprintf "no such watch id %d" id))
     | Some (peer_name, sid) ->
       let line =
         "watch delta "
@@ -530,13 +485,13 @@ let rec execute t cache line =
       in
       let r = rewrite_watch_back ~rid:id ~sid (forward_pinned t cache peer_name line) in
       count_reply t "watch_delta" r;
-      `Reply r
+      Net.Reply r
   end
   | Ok (Protocol.Watch_close id) -> begin
     match find_watch t id with
     | None ->
       count t "requests.watch_close.error";
-      `Reply (Protocol.error (Printf.sprintf "no such watch id %d" id))
+      Net.Reply (Protocol.error (Printf.sprintf "no such watch id %d" id))
     | Some (peer_name, sid) ->
       let r =
         rewrite_watch_back ~rid:id ~sid
@@ -544,178 +499,45 @@ let rec execute t cache line =
       in
       if starts_with "ok" r then drop_watch t id;
       count_reply t "watch_close" r;
-      `Reply r
+      Net.Reply r
   end
 
-(* --- connection/accept/health loops -------------------------------------- *)
+let execute_frame t cache request =
+  match Result.bind request Frame.decode_request with
+  | Error msg ->
+    count t "requests.bulk.error";
+    Frame.encode_reply (Frame.Error msg)
+  | Ok (Frame.Bulk { timeout_ms; instances }) ->
+    let r = forward_bulk t cache ~timeout_ms instances in
+    count t "requests.bulk.ok";
+    r
 
-and unregister t fd =
-  Mutex.protect t.lock (fun () ->
-      t.conns <- List.filter (fun (_, fd') -> fd' != fd) t.conns)
-
-and stop t =
-  let join_state =
-    Mutex.protect t.lock (fun () ->
-        match t.state with
-        | Running ->
-          t.state <- Stopping;
-          `Lead
-        | Stopping -> `Follow
-        | Stopped -> `Done)
-  in
-  match join_state with
-  | `Done -> ()
-  | `Follow ->
-    Mutex.lock t.lock;
-    while t.state <> Stopped do
-      Condition.wait t.state_changed t.lock
-    done;
-    Mutex.unlock t.lock
-  | `Lead ->
-    Log.info (fun m -> m "router stopping");
-    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    let self = Thread.id (Thread.self ()) in
-    (match t.accept_thread with
-    | Some th when Thread.id th <> self -> Thread.join th
-    | _ -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (match t.cfg.address with
-    | Server.Unix_socket path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Server.Tcp _ -> ());
-    (match t.health_thread with
-    | Some th when Thread.id th <> self -> Thread.join th
-    | _ -> ());
-    let conns = Mutex.protect t.lock (fun () -> t.conns) in
-    List.iter
-      (fun (_, fd) -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-      conns;
-    List.iter (fun (th, _) -> if Thread.id th <> self then Thread.join th) conns;
-    Mutex.protect t.lock (fun () ->
-        t.state <- Stopped;
-        Condition.broadcast t.state_changed);
-    Log.info (fun m -> m "router stopped")
-
-and conn_loop t fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
+(* Each client connection keeps its own upstream connections, closed
+   with it. *)
+let handler t () =
   let cache : cache = Hashtbl.create 4 in
-  let send line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc
-  in
-  let read_request () =
-    match input_char ic with
-    | exception (End_of_file | Sys_error _) -> `Eof
-    | exception Unix.Unix_error _ -> `Eof
-    | c when c = Frame.magic -> begin
-      match Frame.read_frame_body ic with
-      | Ok payload -> `Frame payload
-      | Error msg -> `Frame_error msg
-      | exception (End_of_file | Sys_error _) -> `Eof
-    end
-    | '\n' -> `Line ""
-    | c ->
-      let b = Buffer.create 128 in
-      Buffer.add_char b c;
-      let rec go () =
-        match input_char ic with
-        | exception (End_of_file | Sys_error _) -> `Line (Buffer.contents b)
-        | exception Unix.Unix_error _ -> `Line (Buffer.contents b)
-        | '\n' -> `Line (Buffer.contents b)
-        | c ->
-          Buffer.add_char b c;
-          go ()
-      in
-      go ()
-  in
-  let latency_histogram = t.latency in
-  let rec loop () =
-    match read_request () with
-    | `Eof -> ()
-    | `Line line when String.trim line = "" -> loop ()
-    | `Line line -> begin
-      let t0 = now () in
-      let action = execute t cache line in
-      Metrics.observe latency_histogram (now () -. t0);
-      match action with
-      | `Reply reply ->
-        send reply;
-        loop ()
-      | `Close reply -> send reply
-      | `Shutdown reply ->
-        send reply;
-        shutdown_shards t;
-        stop t
-    end
-    | `Frame payload -> begin
-      let t0 = now () in
-      let reply =
-        match Frame.decode_request payload with
-        | Error msg ->
-          count t "requests.bulk.error";
-          Frame.encode_reply (Frame.Error msg)
-        | Ok (Frame.Bulk { timeout_ms; instances }) ->
-          let r = forward_bulk t cache ~timeout_ms instances in
-          count t "requests.bulk.ok";
-          r
-      in
-      Metrics.observe latency_histogram (now () -. t0);
-      Frame.write_frame oc reply;
-      loop ()
-    end
-    | `Frame_error msg ->
-      count t "requests.bulk.error";
-      Frame.write_frame oc (Frame.encode_reply (Frame.Error msg))
-  in
-  (try loop () with _ -> ());
-  close_cache cache;
-  unregister t fd;
-  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  {
+    Net.line = execute t cache;
+    frame = execute_frame t cache;
+    finish = (fun () -> close_cache cache);
+  }
 
-and accept_loop t =
-  let rec loop () =
-    match Unix.accept t.listen_fd with
-    | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EINTR), _, _) -> loop ()
-    | exception Unix.Unix_error _ -> ()
-    | fd, _ ->
-      let accepted =
-        Mutex.protect t.lock (fun () ->
-            if t.state <> Running then false
-            else begin
-              let th = Thread.create (fun () -> conn_loop t fd) () in
-              t.conns <- (th, fd) :: t.conns;
-              true
-            end)
-      in
-      if not accepted then (try Unix.close fd with Unix.Unix_error _ -> ());
-      loop ()
-  in
-  loop ()
+(* --- health ---------------------------------------------------------------- *)
 
 (* Health probes: a fresh short-timeout connection and a [ping] per
    shard per period.  Success closes the breaker immediately (the
    half-open probe); failure counts like any other, so a shard that
    died between requests is discovered before a client pays the
    connect timeout. *)
-and health_loop t =
+let health_loop t =
   let probe peer =
-    match
-      let u = connect_addr ~recv_timeout:2.0 peer.p_addr in
-      Fun.protect
-        ~finally:(fun () -> close_upstream u)
-        (fun () ->
-          output_string u.up_oc "ping\n";
-          flush u.up_oc;
-          input_line u.up_ic)
-    with
+    match ask peer "ping" with
     | "ok pong" -> note_success peer
     | _ -> note_failure t peer
     | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> note_failure t peer
   in
   let period = float_of_int t.cfg.health_period_ms /. 1000. in
-  let running () = Mutex.protect t.lock (fun () -> t.state = Running) in
+  let running () = Net.running t.listener in
   while running () do
     Hashtbl.iter (fun _ p -> if running () then probe p) t.peers;
     (* sleep in small slices so stop is not delayed by a long period *)
@@ -728,10 +550,15 @@ and health_loop t =
 
 let route_key t key = Option.map (fun n -> (peer_of t n).p_addr) (Ring.route t.ring key)
 
+(* The router's part of {!Net.stop}: the health thread is its only
+   thread besides the listener's own. *)
+let drain t =
+  Log.info (fun m -> m "router stopping");
+  Option.iter Thread.join t.health_thread
+
 let start cfg =
   if cfg.shards = [] then invalid_arg "Router.start: at least one shard required";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let names = List.map Server.address_to_string cfg.shards in
+  let names = List.map Net.address_to_string cfg.shards in
   let ring = Ring.create ~replicas:cfg.replicas names in
   let peers = Hashtbl.create (List.length names) in
   List.iter2
@@ -740,8 +567,6 @@ let start cfg =
         Hashtbl.replace peers name
           { p_addr = addr; p_name = name; p_lock = Mutex.create (); fails = 0; open_until = 0. })
     names cfg.shards;
-  let listen_fd = Server.bind_listener cfg.address in
-  Unix.listen listen_fd 64;
   let metrics = Metrics.create () in
   let t =
     {
@@ -750,12 +575,7 @@ let start cfg =
       peers;
       metrics;
       latency = Metrics.histogram metrics "latency.request";
-      listen_fd;
-      lock = Mutex.create ();
-      state_changed = Condition.create ();
-      state = Running;
-      conns = [];
-      accept_thread = None;
+      listener = Net.listen ~cat:"router" cfg.address;
       health_thread = None;
       watch_lock = Mutex.create ();
       watches = Hashtbl.create 16;
@@ -767,19 +587,14 @@ let start cfg =
         (Hashtbl.fold (fun _ p acc -> if breaker_open p then acc + 1 else acc) t.peers 0));
   Metrics.gauge metrics "watches.pinned" (fun () ->
       float_of_int (Mutex.protect t.watch_lock (fun () -> Hashtbl.length t.watches)));
-  Metrics.gauge metrics "connections.active" (fun () ->
-      float_of_int (Mutex.protect t.lock (fun () -> List.length t.conns)));
-  t.accept_thread <- Some (Thread.create accept_loop t);
+  Metrics.gauge metrics "connections.active" (fun () -> float_of_int (Net.active t.listener));
   if cfg.health_period_ms > 0 then t.health_thread <- Some (Thread.create health_loop t);
+  Net.serve t.listener ~drain:(fun () -> drain t) (Net.lines ~latency:t.latency (handler t));
   Log.info (fun m ->
       m "routing %s over %d shards (%d replicas, retries %d, breaker %d/%dms)"
-        (Server.address_to_string cfg.address) (List.length names) cfg.replicas cfg.retries
+        (Net.address_to_string cfg.address) (List.length names) cfg.replicas cfg.retries
         cfg.breaker_threshold cfg.breaker_cooldown_ms);
   t
 
-let wait t =
-  Mutex.lock t.lock;
-  while t.state <> Stopped do
-    Condition.wait t.state_changed t.lock
-  done;
-  Mutex.unlock t.lock
+let stop t = Net.stop t.listener
+let wait t = Net.wait t.listener

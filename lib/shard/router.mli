@@ -36,8 +36,8 @@
     to every reachable shard — one verb takes the whole fleet down. *)
 
 type config = {
-  address : Res_server.Server.address;  (** where the router listens *)
-  shards : Res_server.Server.address list;
+  address : Res_server.Net.address;  (** where the router listens *)
+  shards : Res_server.Net.address list;
   replicas : int;  (** virtual points per shard on the ring *)
   retries : int;  (** attempts on the owning shard before failing over *)
   backoff_ms : int;  (** base backoff, doubled per attempt *)
@@ -47,7 +47,7 @@ type config = {
 }
 
 val default_config :
-  address:Res_server.Server.address -> shards:Res_server.Server.address list -> config
+  address:Res_server.Net.address -> shards:Res_server.Net.address list -> config
 (** 128 replicas, 2 retries, 50ms backoff, breaker threshold 3,
     cooldown 1000ms, health period 500ms. *)
 
@@ -61,7 +61,7 @@ val stop : t -> unit
 val wait : t -> unit
 val metrics : t -> Res_server.Metrics.t
 
-val route_key : t -> string -> Res_server.Server.address option
+val route_key : t -> string -> Res_server.Net.address option
 (** Where this canonical key currently routes (diagnostics). *)
 
 val routing_key : string -> string

@@ -86,6 +86,18 @@ let parser_errors () =
   check_bool "trailing comma" true (is_err "R(x,y),");
   check_bool "bad char" true (is_err "R(x,y) & S(y)")
 
+(* One relation, two arities: a parse error, not an [Invalid_argument]
+   escaping [Query.make] (which crashed the CLI and dropped the server
+   connection). *)
+let parser_mixed_arity () =
+  check_bool "query_opt" true
+    (Parser.query_opt "R(x), R(x,y)"
+    = Error "relation R used with arities 1 and 2");
+  check_bool "query raises Parse_error" true
+    (match Parser.query "A(x), R(x,y), R(y,z,w)" with
+    | _ -> false
+    | exception Parser.Parse_error _ -> true)
+
 let parser_exo_marker () =
   let query = q "S^x(x,y), R(x,y)" in
   check_bool "superscript x parsed" true (Query.is_exogenous query "S")
@@ -237,6 +249,7 @@ let suite =
     Alcotest.test_case "parser whitespace" `Quick parser_whitespace;
     Alcotest.test_case "parser errors" `Quick parser_errors;
     Alcotest.test_case "parser ^x marker" `Quick parser_exo_marker;
+    Alcotest.test_case "parser mixed arity" `Quick parser_mixed_arity;
     Alcotest.test_case "hypergraph edges" `Quick hypergraph_edges;
     Alcotest.test_case "hypergraph avoiding paths" `Quick hypergraph_paths;
     Alcotest.test_case "hypergraph variable paths" `Quick hypergraph_var_paths;

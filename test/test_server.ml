@@ -287,30 +287,11 @@ let gadget_interruption_monotone () =
 
 (* --- a live server over a Unix socket ------------------------------------ *)
 
-let temp_socket_path =
-  let count = ref 0 in
-  fun () ->
-    incr count;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "res-test-%d-%d.sock" (Unix.getpid ()) !count)
-
-let connect path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
-
-let request ic oc line =
-  output_string oc line;
-  output_char oc '\n';
-  flush oc;
-  input_line ic
-
-let starts_with prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+open Sock
 
 let server_basics () =
   let path = temp_socket_path () in
-  let server = Server.start { (Server.default_config (Server.Unix_socket path)) with workers = 2 } in
+  let server = Server.start { (Server.default_config (Net.Unix_socket path)) with workers = 2 } in
   Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
   let fd, ic, oc = connect path in
   Alcotest.(check string) "ping" "ok pong" (request ic oc "ping");
@@ -351,7 +332,7 @@ let hard_body =
 let flood () =
   let path = temp_socket_path () in
   let config =
-    { (Server.default_config (Server.Unix_socket path)) with workers = 4; queue_capacity = 64 }
+    { (Server.default_config (Net.Unix_socket path)) with workers = 4; queue_capacity = 64 }
   in
   let server = Server.start config in
   Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
@@ -441,7 +422,7 @@ let flood () =
    is leaked — [watchers.active] reads 0 and the drain is accounted. *)
 let shutdown_drains_watchers () =
   let path = temp_socket_path () in
-  let server = Server.start { (Server.default_config (Server.Unix_socket path)) with workers = 2 } in
+  let server = Server.start { (Server.default_config (Net.Unix_socket path)) with workers = 2 } in
   let fd, ic, oc = connect path in
   Alcotest.(check bool) "watch registered" true
     (starts_with "ok watch=1 " (request ic oc "watch register R(x,y), R(y,x) | R(1,2); R(2,1)"));
@@ -460,7 +441,7 @@ let shutdown_drains_watchers () =
 
 let protocol_shutdown () =
   let path = temp_socket_path () in
-  let server = Server.start { (Server.default_config (Server.Unix_socket path)) with workers = 2 } in
+  let server = Server.start { (Server.default_config (Net.Unix_socket path)) with workers = 2 } in
   let fd, ic, oc = connect path in
   Alcotest.(check string) "shutdown acknowledged" "ok shutting down" (request ic oc "shutdown");
   (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -482,7 +463,7 @@ let raising_listener_replies () =
   let engine = Res_engine.Batch.create () in
   Res_engine.Batch.on_solve_insert engine (fun _ _ -> failwith "persist: disk full");
   let server =
-    Server.start ~engine { (Server.default_config (Server.Unix_socket path)) with workers = 2 }
+    Server.start ~engine { (Server.default_config (Net.Unix_socket path)) with workers = 2 }
   in
   let fd, ic, oc = connect path in
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
@@ -523,17 +504,163 @@ let raising_listener_replies () =
   Server.stop server;
   Server.wait server
 
+(* A relation used with two arities is a parse error on every verb that
+   takes a query, through the server and through a router in front of
+   it; the connection answers and keeps serving. *)
+let mixed_arity_replies () =
+  let path = temp_socket_path () in
+  let server = Server.start { (Server.default_config (Net.Unix_socket path)) with workers = 2 } in
+  let router_path = temp_socket_path () in
+  let router =
+    Res_shard.Router.start
+      {
+        (Res_shard.Router.default_config ~address:(Net.Unix_socket router_path)
+           ~shards:[ Net.Unix_socket path ])
+        with
+        health_period_ms = 0;
+      }
+  in
+  Fun.protect ~finally:(fun () ->
+      Res_shard.Router.stop router;
+      Server.stop server)
+  @@ fun () ->
+  List.iter
+    (fun target ->
+      let fd, ic, oc = connect target in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      List.iter
+        (fun line ->
+          let reply = request ic oc line in
+          Alcotest.(check bool) (line ^ " -> " ^ reply) true (starts_with "error " reply);
+          Alcotest.(check string) ("ping after " ^ line) "ok pong" (request ic oc "ping"))
+        [
+          "classify R(x), R(x,y)";
+          "solve R(x), R(x,y) | R(1,2)";
+          "batch A(x) | A(1) ;; R(x), R(x,y) | R(1,2)";
+          "resp R(1,2) | R(x), R(x,y) | R(1,2)";
+          "watch register R(x), R(x,y) | R(1,2)";
+        ];
+      Unix.close fd)
+    [ path; router_path ]
+
+(* A start that fails late (here: the metrics listener cannot bind)
+   releases the main socket it had already bound. *)
+let failed_start_releases () =
+  let path = temp_socket_path () in
+  let cfg =
+    {
+      (Server.default_config (Net.Unix_socket path)) with
+      metrics_addr = Some (Net.Unix_socket "/nonexistent-dir/m.sock");
+    }
+  in
+  (match Server.start cfg with
+  | server ->
+    Server.stop server;
+    Alcotest.fail "start succeeded without its metrics listener"
+  | exception Unix.Unix_error _ -> ());
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path);
+  Alcotest.(check bool) "connect refused" true
+    (match Net.connect (Net.Unix_socket path) with
+    | c ->
+      Net.close c;
+      false
+    | exception Unix.Unix_error _ -> true)
+
+(* A live server keeps its socket path; a stale file is still replaced. *)
+let live_socket_refused () =
+  let path = temp_socket_path () in
+  let cfg = { (Server.default_config (Net.Unix_socket path)) with workers = 1; hard_workers = 1 } in
+  let first = Server.start cfg in
+  Fun.protect ~finally:(fun () -> Server.stop first) @@ fun () ->
+  (match Server.start cfg with
+  | second ->
+    Server.stop second;
+    Alcotest.fail "a second server took over a live socket"
+  | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ());
+  let fd, ic, oc = connect path in
+  Alcotest.(check string) "the first server still answers" "ok pong" (request ic oc "ping");
+  Unix.close fd;
+  let stale = temp_socket_path () in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX stale);
+  Unix.close fd;
+  let server = Server.start { cfg with address = Net.Unix_socket stale } in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let fd, ic, oc = connect stale in
+  Alcotest.(check string) "a stale file is replaced" "ok pong" (request ic oc "ping");
+  Unix.close fd
+
+(* --- the shared socket front end ----------------------------------------- *)
+
+let net_latency () = Metrics.histogram (Metrics.create ()) "latency.request"
+
+let net_raising_handler () =
+  let path = temp_socket_path () in
+  let l = Net.listen (Net.Unix_socket path) in
+  let handler =
+    {
+      Net.line = (function "boom" -> failwith "kaboom" | _ -> Net.Reply "ok pong");
+      frame = (fun _ -> failwith "frame kaboom");
+      finish = ignore;
+    }
+  in
+  Net.serve l ~drain:ignore (Net.lines ~latency:(net_latency ()) (fun () -> handler));
+  Fun.protect ~finally:(fun () -> Net.stop l) @@ fun () ->
+  let fd, ic, oc = connect path in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  Alcotest.(check string) "a raising handler answers" "error internal: Failure(\"kaboom\")"
+    (request ic oc "boom");
+  let module Frame = Res_server.Frame in
+  Frame.write_frame oc (Frame.encode_request (Frame.Bulk { timeout_ms = None; instances = [] }));
+  (match Result.bind (Frame.read_frame ic) Frame.decode_reply with
+  | Ok (Frame.Error msg) ->
+    Alcotest.(check string) "so does a raising frame handler" "internal: Failure(\"frame kaboom\")" msg
+  | _ -> Alcotest.fail "expected an error frame");
+  Alcotest.(check string) "the connection keeps serving" "ok pong" (request ic oc "ping");
+  Unix.close fd
+
+(* [shutdown] makes a connection thread lead the stop; a second caller
+   that arrives while the drain runs returns only once it finished. *)
+let net_stop_from_connection () =
+  let path = temp_socket_path () in
+  let l = Net.listen (Net.Unix_socket path) in
+  let m = Mutex.create () and c = Condition.create () in
+  let draining = ref false and drained = ref false in
+  let drain () =
+    Mutex.protect m (fun () ->
+        draining := true;
+        Condition.broadcast c);
+    Thread.delay 0.2;
+    drained := true
+  in
+  let handler = { Net.line = (fun _ -> Net.Shutdown "ok bye"); frame = Fun.const ""; finish = ignore } in
+  Net.serve l ~drain (Net.lines ~latency:(net_latency ()) (fun () -> handler));
+  let fd, ic, oc = connect path in
+  Alcotest.(check string) "the reply comes before the stop" "ok bye" (request ic oc "shutdown");
+  Mutex.lock m;
+  while not !draining do
+    Condition.wait c m
+  done;
+  Mutex.unlock m;
+  Net.stop l;
+  Alcotest.(check bool) "the second caller waited for the drain" true !drained;
+  Alcotest.(check bool) "not running" false (Net.running l);
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path);
+  Net.stop l;
+  Net.wait l;
+  Unix.close fd
+
 (* One address syntax for --metrics-addr, --fleet, --shard and the router:
    a '/' makes a path, so "./m:9" is a socket and not host "./m". *)
 let address_syntax () =
   let show = function
-    | Ok (Server.Unix_socket p) -> "unix " ^ p
-    | Ok (Server.Tcp (h, p)) -> Printf.sprintf "tcp %s %d" h p
+    | Ok (Net.Unix_socket p) -> "unix " ^ p
+    | Ok (Net.Tcp (h, p)) -> Printf.sprintf "tcp %s %d" h p
     | Error _ -> "error"
   in
   List.iter
     (fun (input, expect) ->
-      Alcotest.(check string) input expect (show (Server.address_of_string input)))
+      Alcotest.(check string) input expect (show (Net.address_of_string input)))
     [
       ("", "error");
       ("9100", "tcp 127.0.0.1 9100");
@@ -581,5 +708,10 @@ let suite =
     Alcotest.test_case "server: shutdown drains watchers" `Quick shutdown_drains_watchers;
     Alcotest.test_case "server: protocol shutdown" `Quick protocol_shutdown;
     Alcotest.test_case "server: raising lane job still replies" `Quick raising_listener_replies;
+    Alcotest.test_case "server: mixed-arity query answered" `Quick mixed_arity_replies;
+    Alcotest.test_case "server: failed start releases its socket" `Quick failed_start_releases;
+    Alcotest.test_case "server: live socket path refused" `Quick live_socket_refused;
+    Alcotest.test_case "net: raising handler keeps the connection" `Quick net_raising_handler;
+    Alcotest.test_case "net: stop from a connection thread" `Quick net_stop_from_connection;
     Alcotest.test_case "address: command-line syntax" `Quick address_syntax;
   ]

@@ -382,23 +382,7 @@ let store_warm_restart () =
 
 (* --- the routed fleet ----------------------------------------------------- *)
 
-let temp_socket_path =
-  let count = ref 0 in
-  fun () ->
-    incr count;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "res-shard-%d-%d.sock" (Unix.getpid ()) !count)
-
-let connect path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
-
-let request ic oc line =
-  output_string oc line;
-  output_char oc '\n';
-  flush oc;
-  input_line ic
+open Sock
 
 (* A mixed workload: PTIME solves, hard (but tiny) solves, classifies and
    batches, over seeded random graphs so runs are reproducible. *)
@@ -435,7 +419,7 @@ let drop_substring ~sub s =
 let normalize reply = drop_substring ~sub:" cached" reply
 
 let shard_config path =
-  { (Server.default_config (Server.Unix_socket path)) with workers = 2; hard_workers = 2 }
+  { (Server.default_config (Net.Unix_socket path)) with workers = 2; hard_workers = 2 }
 
 (* The headline differential: 300 mixed requests through a 3-shard routed
    fleet agree with a single reference server, request by request — and
@@ -452,8 +436,8 @@ let router_differential () =
     Router.start
       {
         (Router.default_config
-           ~address:(Server.Unix_socket router_path)
-           ~shards:(List.map (fun p -> Server.Unix_socket p) shard_paths))
+           ~address:(Net.Unix_socket router_path)
+           ~shards:(List.map (fun p -> Net.Unix_socket p) shard_paths))
         with
         retries = 1;
         backoff_ms = 10;
