@@ -36,16 +36,12 @@ let last_stats () =
     covers = Atomic.get covers_c;
   }
 
-(* Build the hitting-set instance: witnesses as sets of endogenous fact
-   ids.  Returns [None] if some witness has no endogenous fact — decided
+(* Build the hitting-set instance: witnesses as sets of the ids of their
+   non-[exogenous] facts.  [None] if some witness has none — decided
    {e before} any fact-id assignment, so a provably unbreakable instance
    does no numbering, reduction or cover work at all. *)
-let instance db q =
-  let witness_sets = Eval.witness_fact_sets db q in
-  let all_exogenous fs =
-    Database.Fact_set.for_all (fun f -> Res_cq.Query.is_exogenous q f.Database.rel) fs
-  in
-  if List.exists all_exogenous witness_sets then None
+let instance ~exogenous witness_sets =
+  if List.exists (Database.Fact_set.for_all exogenous) witness_sets then None
   else begin
     let fact_ids = Hashtbl.create 64 in
     let facts_rev = Hashtbl.create 64 in
@@ -64,41 +60,14 @@ let instance db q =
       List.map
         (fun fs ->
           Database.Fact_set.fold
-            (fun f acc ->
-              if Res_cq.Query.is_exogenous q f.Database.rel then acc else IS.add (id_of f) acc)
+            (fun f acc -> if exogenous f then acc else IS.add (id_of f) acc)
             fs IS.empty)
         witness_sets
     in
     Some (sets, facts_rev, fact_ids)
   end
 
-(* Keep only ⊆-minimal sets (tree-set version, used by the optimal-set
-   enumeration; the main search works on the bitset mirror below). *)
-let minimal_sets sets =
-  let arr = Array.of_list sets in
-  let n = Array.length arr in
-  let keep = Array.make n true in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if i <> j && keep.(i) && keep.(j) then
-        if IS.subset arr.(j) arr.(i) && (IS.cardinal arr.(j) < IS.cardinal arr.(i) || j < i)
-        then keep.(i) <- false
-    done
-  done;
-  let out = ref [] in
-  for i = n - 1 downto 0 do
-    if keep.(i) then out := arr.(i) :: !out
-  done;
-  !out
-
-let greedy_packing_bound sets =
-  let rec go used acc = function
-    | [] -> acc
-    | s :: rest ->
-      if IS.is_empty (IS.inter s used) then go (IS.union s used) (acc + 1) rest
-      else go used acc rest
-  in
-  go IS.empty 0 (List.sort (fun a b -> compare (IS.cardinal a) (IS.cardinal b)) sets)
+let relation_exogenous q (f : Database.fact) = Res_cq.Query.is_exogenous q f.rel
 
 (* --- the bitset witness representation ---------------------------------- *)
 
@@ -463,8 +432,8 @@ type outcome =
   | Complete of Solution.t
   | Interrupted of { incumbent : Solution.t; lb : int }
 
-let resilience_bounded ?cancel ?lp ?pool ?seed ?lp_state db q =
-  match instance db q with
+let solve_witnesses ?cancel ?lp ?pool ?seed ?lp_state ~exogenous witness_sets =
+  match instance ~exogenous witness_sets with
   | None -> Complete Solution.Unbreakable
   | Some (sets, facts_rev, fact_ids) ->
     let seed =
@@ -490,6 +459,10 @@ let resilience_bounded ?cancel ?lp ?pool ?seed ?lp_state db q =
      | `Complete r -> Complete (finish r)
      | `Interrupted (r, lb) -> Interrupted { incumbent = finish r; lb })
 
+let resilience_bounded ?cancel ?lp ?pool ?seed ?lp_state db q =
+  solve_witnesses ?cancel ?lp ?pool ?seed ?lp_state ~exogenous:(relation_exogenous q)
+    (Eval.witness_fact_sets db q)
+
 let resilience ?pool db q =
   match resilience_bounded ?pool db q with
   | Complete s -> s
@@ -512,7 +485,7 @@ let in_res db q k =
 (* Enumerate all optimal hitting sets by depth-bounded exhaustive search at
    the known optimum. *)
 let minimum_sets ?(limit = 1000) db q =
-  match instance db q with
+  match instance ~exogenous:(relation_exogenous q) (Eval.witness_fact_sets db q) with
   | None -> []
   | Some (sets, facts_rev, _) ->
     let opt =
@@ -522,41 +495,31 @@ let minimum_sets ?(limit = 1000) db q =
     in
     if opt = 0 then [ [] ]
     else begin
-      let sets = minimal_sets sets in
+      let n_facts, bsets = to_bitsets sets in
+      let sets = List.map (fun b -> (Bitset.cardinal b, b)) (minimal_bitsets bsets) in
       let results = ref [] in
       let n_found = ref 0 in
-      let module FSet = Set.Make (Int) in
       let seen = Hashtbl.create 64 in
       let rec branch chosen depth remaining =
         if !n_found >= limit then ()
         else begin
           match remaining with
           | [] ->
-            let key = FSet.elements (FSet.of_list chosen) in
+            let key = List.sort_uniq compare chosen in
             if not (Hashtbl.mem seen key) then begin
               Hashtbl.replace seen key ();
               incr n_found;
               results := key :: !results
             end
           | _ ->
-            if depth + greedy_packing_bound remaining > opt then ()
-            else begin
-              let pivot =
-                List.fold_left
-                  (fun acc s ->
-                    match acc with
-                    | None -> Some s
-                    | Some t -> if IS.cardinal s < IS.cardinal t then Some s else acc)
-                  None remaining
-              in
-              let pivot = Option.get pivot in
-              IS.iter
+            if depth + packing_bound_b n_facts remaining > opt then ()
+            else
+              Bitset.iter
                 (fun f ->
                   if depth < opt then
                     branch (f :: chosen) (depth + 1)
-                      (List.filter (fun s -> not (IS.mem f s)) remaining))
-                pivot
-            end
+                      (List.filter (fun (_, s) -> not (Bitset.mem s f)) remaining))
+                (min_card_pivot remaining)
         end
       in
       branch [] 0 sets;

@@ -80,6 +80,18 @@ val resilience_bounded :
     is stored back, and the stored basis warm-starts the next.  Neither
     option changes any returned value, only search effort. *)
 
+val solve_witnesses :
+  ?cancel:Cancel.t ->
+  ?lp:bool ->
+  ?pool:Res_exec.Executor.t ->
+  ?seed:Database.fact list ->
+  ?lp_state:int array option Atomic.t ->
+  exogenous:(Database.fact -> bool) ->
+  Database.Fact_set.t list ->
+  outcome
+(** The search behind {!resilience_bounded}, over enumerated witness
+    fact sets and a per-fact exogeneity predicate. *)
+
 (** {2 Search instrumentation}
 
     Cumulative counters over every hitting-set search since the last

@@ -1,101 +1,99 @@
 open Res_db
 module FS = Database.Fact_set
+module Interval = Res_bounds.Interval
+
+type outcome = Complete of int option | Interrupted of Interval.t
 
 (* A contingency Γ for fact t must (a) avoid t, (b) hit every witness that
    does not contain t (so that deleting t afterwards falsifies q), and
-   (c) leave at least one witness containing t alive.  We minimize over
-   the choice of the surviving witness w: hit all t-free witnesses using
-   facts outside w ∪ {t}. *)
+   (c) leave at least one witness containing t alive.  So the answer is
+   the minimum, over the surviving witness w, of the resilience of the
+   t-free witnesses with w's facts made exogenous. *)
 
-let min_contingency db q (t : Database.fact) =
-  if Res_cq.Query.is_exogenous q t.rel then None
+(* One resilience subproblem: solved, or the bounds a fired token left. *)
+type sub = Solved of Solution.t | Stopped of { ub : int option; lb : int }
+
+let min_opt a b = match (a, b) with Some x, Some y -> Some (min x y) | None, v | v, None -> v
+
+(* The survivors' protected fact sets: each witness containing t
+   contributes its endogenous facts other than t.  Deduplicated and
+   ⊆-minimal — protecting fewer facts can never cost more — smallest
+   first. *)
+let survivors ~exogenous t with_t =
+  List.map (FS.filter (fun f -> not (exogenous f || f = t))) with_t
+  |> List.sort_uniq FS.compare
+  |> List.stable_sort (fun a b -> compare (FS.cardinal a) (FS.cardinal b))
+  |> List.fold_left
+       (fun kept s -> if List.exists (fun k -> FS.subset k s) kept then kept else s :: kept)
+       []
+  |> List.rev
+
+let of_witnesses ?(cancel = Cancel.never) ?pool ~witnesses db q (t : Database.fact) =
+  let exogenous (f : Database.fact) = Res_cq.Query.is_exogenous q f.rel in
+  let with_t, without_t = List.partition (FS.mem t) witnesses in
+  if exogenous t || with_t = [] then Complete None
   else begin
-    let witness_sets = Eval.witness_fact_sets db q in
-    let with_t, without_t = List.partition (fun fs -> FS.mem t fs) witness_sets in
-    if with_t = [] then None
-    else begin
-      let endo fs =
-        FS.filter (fun f -> not (Res_cq.Query.is_exogenous q f.Database.rel)) fs
+    (* The t-free witnesses are exactly the witnesses of D − {t}: on a
+       linear self-join-free query they are the s–t paths of [Flow]'s
+       network, and a protected fact is one more uncuttable edge. *)
+    let resilience =
+      if Res_cq.Query.is_sj_free q && Linearity.linear_order q <> None then begin
+        let db_t = Database.remove db t in
+        fun protected ->
+          match Flow.solve_exn ~cancel ~fact_exogenous:(fun f -> FS.mem f protected) db_t q with
+          | s -> Solved s
+          | exception Cancel.Cancelled -> Stopped { ub = None; lb = 0 }
+      end
+      else fun protected ->
+        match
+          Exact.solve_witnesses ~cancel ?pool
+            ~exogenous:(fun f -> exogenous f || FS.mem f protected)
+            without_t
+        with
+        | Exact.Complete s -> Solved s
+        | Exact.Interrupted { incumbent; lb } -> Stopped { ub = Solution.value incumbent; lb }
+    in
+    (* L, the resilience with no survivor constraint, lower-bounds every
+       survivor; its incumbent keeps no survivor alive, so an interrupted
+       L leaves no upper bound. *)
+    match resilience FS.empty with
+    | Stopped { lb; _ } -> Interrupted (Interval.lower_only lb)
+    | Solved Solution.Unbreakable -> Complete None
+    | Solved (Solution.Finite (l, _)) ->
+      let rec go best = function
+        | [] -> Complete best
+        | _ when best = Some l -> Complete best
+        | _ when Cancel.cancelled cancel -> Interrupted (Interval.of_bounds ~lb:l ~ub:best ())
+        | protected :: rest -> begin
+          match resilience protected with
+          | Solved s -> go (min_opt best (Solution.value s)) rest
+          | Stopped { ub; _ } -> Interrupted (Interval.of_bounds ~lb:l ~ub:(min_opt best ub) ())
+        end
       in
-      let best = ref None in
-      List.iter
-        (fun survivor ->
-          (* facts we may delete: endogenous, not t, not in the survivor *)
-          let allowed f = (not (FS.mem f survivor)) && f <> t in
-          let feasible = ref true in
-          let sets =
-            List.map
-              (fun fs ->
-                let s = FS.filter allowed (endo fs) in
-                if FS.is_empty s then feasible := false;
-                s)
-              without_t
-          in
-          if !feasible then begin
-            (* solve restricted hitting set exactly via the Exact machinery:
-               rebuild a pseudo-database?  Simpler: brute branch and bound
-               on the fact sets directly. *)
-            let size =
-              if sets = [] then 0
-              else begin
-                (* reuse Exact's engine through a private encoding *)
-                let ids = Hashtbl.create 32 in
-                let next = ref 0 in
-                let module IS = Set.Make (Int) in
-                let int_sets =
-                  List.map
-                    (fun s ->
-                      FS.fold
-                        (fun f acc ->
-                          let i =
-                            match Hashtbl.find_opt ids f with
-                            | Some i -> i
-                            | None ->
-                              let i = !next in
-                              incr next;
-                              Hashtbl.replace ids f i;
-                              i
-                          in
-                          IS.add i acc)
-                        s IS.empty)
-                    sets
-                in
-                let best_local = ref max_int in
-                let rec branch depth remaining =
-                  match remaining with
-                  | [] -> if depth < !best_local then best_local := depth
-                  | _ ->
-                    if depth + 1 >= !best_local then ()
-                    else begin
-                      let pivot = List.hd remaining in
-                      IS.iter
-                        (fun f ->
-                          branch (depth + 1)
-                            (List.filter (fun s -> not (IS.mem f s)) remaining))
-                        pivot
-                    end
-                in
-                branch 0 int_sets;
-                !best_local
-              end
-            in
-            match !best with
-            | Some b when b <= size -> ()
-            | _ -> best := Some size
-          end)
-        with_t;
-      !best
-    end
+      go None (survivors ~exogenous t with_t)
   end
 
-let responsibility db q t =
-  match min_contingency db q t with
-  | Some k -> 1.0 /. float_of_int (1 + k)
-  | None -> 0.0
+(* Responsibility rides the same front door as resilience: minimize
+   first.  Responsibility only depends on the function D' ↦ (D' ⊨ q), so
+   any query equivalent to q — in particular its core — yields the same
+   minimum contingency. *)
+let min_contingency_bounded ?cancel ?pool db q t =
+  let q = Res_cq.Homomorphism.minimize q in
+  of_witnesses ?cancel ?pool ~witnesses:(Eval.witness_fact_sets db q) db q t
+
+let complete = function
+  | Complete r -> r
+  | Interrupted _ -> assert false (* Cancel.never cannot fire *)
+
+let min_contingency db q t = complete (min_contingency_bounded db q t)
+
+let of_size = function Some k -> 1.0 /. float_of_int (1 + k) | None -> 0.0
+let responsibility db q t = of_size (min_contingency db q t)
 
 let ranking db q =
+  let q = Res_cq.Homomorphism.minimize q in
+  let witnesses = Eval.witness_fact_sets db q in
   Database.endogenous_facts db q
   |> List.filter_map (fun f ->
-         let r = responsibility db q f in
-         if r > 0.0 then Some (f, r) else None)
+         Option.map (fun k -> (f, of_size (Some k))) (complete (of_witnesses ~witnesses db q f)))
   |> List.sort (fun (_, a) (_, b) -> compare b a)

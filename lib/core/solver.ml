@@ -231,14 +231,5 @@ let solve_traced db q =
 let solve db q = fst (solve_traced db q)
 let value db q = Solution.value (solve db q)
 
-(* Responsibility rides the same front door as resilience: minimize
-   first.  Responsibility only depends on the function D' ↦ (D' ⊨ q), so
-   any query equivalent to q — in particular its core — yields the same
-   minimum contingency. *)
-let min_contingency db q t =
-  Responsibility.min_contingency db (Res_cq.Homomorphism.minimize q) t
-
-let responsibility db q t =
-  match min_contingency db q t with
-  | None -> 0.0
-  | Some k -> 1.0 /. float_of_int (1 + k)
+(* Kept under this name for the service workload's generator. *)
+let min_contingency = Responsibility.min_contingency

@@ -91,17 +91,5 @@ val mirror_solution : Res_cq.Query.t -> Solution.t -> Solution.t
 (** Map a solution of the mirrored instance back to the original
     database's facts ([q] is the {e original} query). *)
 
-(** {2 Responsibility}
-
-    The engine-facing entry points for the responsibility workload
-    (Meliou et al.): like [solve], they minimize the query first —
-    responsibility depends only on the function D' ↦ (D' ⊨ q), which is
-    invariant under query equivalence — then delegate to
-    {!Responsibility}. *)
-
 val min_contingency : Database.t -> Res_cq.Query.t -> Database.fact -> int option
-(** Size of the smallest contingency Γ with D − Γ ⊨ q and
-    D − Γ − \{t\} ⊭ q; [None] when the fact is not a cause. *)
-
-val responsibility : Database.t -> Res_cq.Query.t -> Database.fact -> float
-(** 1/(1+|Γ|) for the smallest contingency, 0.0 when not a cause. *)
+(** {!Responsibility.min_contingency}. *)

@@ -223,19 +223,24 @@ let solve_versioned t (vdb : Vdb.t) q =
    one class share entries whenever digest and canonical fact coincide.
    The cached value is the minimum contingency size — an [int option] is
    invariant under the renaming, so no back-translation is needed on a
-   hit. *)
-let responsibility t db q (f : Database.fact) =
-  if not t.cached then begin
-    let r, dt = with_time (fun () -> Solver.min_contingency db q f) in
+   hit.  As with solving, a timed-out answer is never cached. *)
+let responsibility_bounded t ?cancel ?pool db q (f : Database.fact) =
+  let miss db q f =
+    let r, dt =
+      with_time (fun () ->
+          Obs.span ~cat:"engine" "responsibility" (fun () ->
+              Responsibility.min_contingency_bounded ?cancel ?pool db q f))
+    in
     locked t (fun () ->
         t.stats.resp_misses <- t.stats.resp_misses + 1;
         t.stats.resp_time <- t.stats.resp_time +. dt);
-    (r, false)
-  end
+    r
+  in
+  if not t.cached then (miss db q f, false)
   else begin
     let k = timed_canon t (fun () -> Canon.keyed q) in
     match Canon.translate_fact k q f with
-    | None -> (None, false) (* relation absent from the query: never a cause *)
+    | None -> (Responsibility.Complete None, false) (* relation absent from the query *)
     | Some cf ->
       let dg, dt_dg = with_time (fun () -> Canon.instance_digest k q db) in
       let cache_key = (k.Canon.key ^ "|" ^ Canon.fact_repr cf.rel cf.tuple, dg) in
@@ -249,20 +254,19 @@ let responsibility t db q (f : Database.fact) =
             | None -> None)
       in
       match hit with
-      | Some r -> (r, true)
+      | Some r -> (Responsibility.Complete r, true)
       | None ->
-        let r, dt =
-          with_time (fun () ->
-              Obs.span ~cat:"engine" "responsibility" (fun () ->
-                  Solver.min_contingency (Canon.translate_db k q db)
-                    (Canon.canonical_query k.key) cf))
-        in
-        locked t (fun () ->
-            t.stats.resp_misses <- t.stats.resp_misses + 1;
-            t.stats.resp_time <- t.stats.resp_time +. dt;
-            Cache.add t.resp_cache cache_key r);
+        let r = miss (Canon.translate_db k q db) (Canon.canonical_query k.key) cf in
+        (match r with
+        | Responsibility.Complete r -> locked t (fun () -> Cache.add t.resp_cache cache_key r)
+        | Responsibility.Interrupted _ -> ());
         (r, false)
   end
+
+let responsibility t db q f =
+  match responsibility_bounded t db q f with
+  | Responsibility.Complete r, cached -> (r, cached)
+  | Responsibility.Interrupted _, _ -> assert false (* Cancel.never cannot fire *)
 
 let count_instance t = locked t (fun () -> t.stats.instances <- t.stats.instances + 1)
 

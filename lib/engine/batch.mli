@@ -80,6 +80,17 @@ val solve_bounded :
 (** [?pool] is forwarded to {!Resilience.Solver.solve_bounded}: a single
     hard instance parallelizes its exact search across the executor. *)
 
+val responsibility_bounded :
+  t ->
+  ?cancel:Resilience.Cancel.t ->
+  ?pool:Res_exec.Executor.t ->
+  Database.t ->
+  Query.t ->
+  Database.fact ->
+  Responsibility.outcome * bool
+(** {!responsibility} under a deadline; an [Interrupted] answer is never
+    cached. *)
+
 val run : t -> ?pool:Res_exec.Executor.t -> instance list -> outcome list
 (** Process a batch: instances are sorted by canonical key (stable), so
     each equivalence class is handled consecutively, then results are

@@ -67,7 +67,10 @@
     smallest contingency set under which FACT is a counterfactual cause
     of the query being true, or [responsibility=0.0000 contingency=none]
     when it is not a cause; a trailing [cached] marks an engine cache
-    hit.
+    hit.  When its deadline fires first it answers the same [timeout]
+    line as [solve], bracketing the contingency size K: [bound] is the
+    best surviving witness finished so far, [lb] the certified bound
+    without a survivor constraint.
 
     {b Versioning.}  This is protocol {!version} 6.  v1 timeout lines
     were exactly [timeout bound=<N|none>]; v2 appended [lb=]/[gap=]

@@ -231,23 +231,27 @@ let submit_solve t ~kind ~timeout_ms body_lines =
     submit_lane t ~kind ~lane (fun fill -> run_solve t ~kind ~deadline instances fill)
 
 (* The responsibility verb (v6): one fact against one instance.  Same
-   classify-first admission as solve; the responsibility computation is
-   not cancellable mid-run, so the deadline is only checked before it
-   starts — a queued request whose deadline fired while waiting answers
-   immediately instead of burning a worker. *)
+   classify-first admission and the same deadline semantics as solve: a
+   request whose deadline fired in the queue, or mid-search, answers
+   [timeout] with the bounds reached so far. *)
 let run_resp t ~deadline (inst : Res_engine.Batch.instance) fact fill =
   Obs.span ~cat:"server" "resp" @@ fun () ->
   let t0 = now () in
-  if expired deadline then begin
-    count t "resp" "timeout";
-    fill (Protocol.error "resp: deadline expired while queued")
-  end
-  else begin
-    let r, cached = Res_engine.Batch.responsibility t.engine inst.db inst.query fact in
+  let outcome =
+    if expired deadline then
+      (Resilience.Responsibility.Interrupted (Res_bounds.Interval.lower_only 0), false)
+    else
+      Res_engine.Batch.responsibility_bounded t.engine ~cancel:(cancel_for t deadline)
+        ?pool:t.exec inst.db inst.query fact
+  in
+  Metrics.observe t.resp_latency (now () -. t0);
+  match outcome with
+  | Resilience.Responsibility.Complete r, cached ->
     count t "resp" "ok";
-    Metrics.observe t.resp_latency (now () -. t0);
     fill (Protocol.resp_reply ~cached r)
-  end
+  | Resilience.Responsibility.Interrupted iv, _ ->
+    count t "resp" "timeout";
+    fill (Protocol.timeout iv)
 
 let submit_resp t ~timeout_ms ~fact_s body =
   match Res_engine.Batch.parse_instances body with

@@ -110,13 +110,32 @@ let naive_min_contingency db q t =
   subsets [] pool;
   !best
 
+(* Linear self-join-free queries, where responsibility runs on Flow with
+   per-fact exogeneity instead of the exact search: a plain path, an
+   exogenous middle, and an arity-3 chain. *)
+let linear_sjf_queries =
+  lazy
+    (Array.map qp
+       [| "A(x), R(x,y), S(y,z), C(z)"; "A(x), R^x(x,y), S(y,z), C(z)"; "A(x), W(x,y,z), S(z,w)" |])
+
+(* Every third seed draws a linear sjf query, with four tuples per
+   relation so that a surviving witness often shares facts with the
+   t-free ones; the rest draw the binary fragment (self-joins, exact
+   route) with three. *)
+let responsibility_instance seed =
+  let linear = Lazy.force linear_sjf_queries in
+  let query, tuples_per_relation =
+    if seed mod 3 = 0 then (linear.(seed / 3 mod Array.length linear), 4)
+    else (Generators.fragment_query seed, 3)
+  in
+  (query, Generators.random_db ~seed ~domain:2 ~tuples_per_relation query)
+
 let prop_responsibility_matches_definition =
   QCheck.Test.make ~count:150
     ~name:"responsibility: solver = brute-force definition"
     QCheck.(int_bound 10_000_000)
     (fun seed ->
-      let query = Generators.fragment_query seed in
-      let db = Generators.random_db ~seed ~domain:2 ~tuples_per_relation:3 query in
+      let query, db = responsibility_instance seed in
       match Database.endogenous_facts db query with
       | [] -> true
       | facts ->
@@ -180,6 +199,98 @@ let responsibility_foreign_relation_is_no_cause () =
   check_bool "answered without a solve" false cached;
   Alcotest.(check int) "no engine miss burned" 0 (Engine.stats eng).Res_engine.Stats.resp_misses
 
+(* A cancelled responsibility run still brackets the answer: [ub], when
+   present, is a finished survivor's size and [lb] is the certified bound
+   without a survivor constraint, so lb ≤ exact ≤ ub. *)
+let prop_responsibility_interrupted_sound =
+  QCheck.Test.make ~count:120
+    ~name:"responsibility: cancelled run brackets the exact answer"
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 60))
+    (fun (seed, steps) ->
+      let st = Random.State.make [| seed; 29 |] in
+      let query =
+        if seed mod 3 = 0 then fst (responsibility_instance seed) else Generators.random_query st
+      in
+      let db = Generators.random_db ~seed ~domain:3 ~tuples_per_relation:6 query in
+      match Database.endogenous_facts db query with
+      | [] -> true
+      | facts -> (
+        let t = List.nth facts (seed mod List.length facts) in
+        let exact = Responsibility.min_contingency db query t in
+        match
+          Responsibility.min_contingency_bounded ~cancel:(Cancel.of_steps steps) db query t
+        with
+        | Responsibility.Complete r -> r = exact
+        | Responsibility.Interrupted iv -> (
+          let module I = Res_bounds.Interval in
+          I.valid iv
+          &&
+          match (exact, I.ub iv) with
+          | Some e, Some ub -> I.lb iv <= e && e <= ub
+          | Some e, None -> I.lb iv <= e
+          | None, ub -> ub = None)))
+
+(* A random instance of the linear sjf query A(x), R(x,y), S(y,z), C(z)
+   with [n] facts, and its first R fact that is in a witness. *)
+let linear_instance ~seed n =
+  let q = qp "A(x), R(x,y), S(y,z), C(z)" in
+  let st = Random.State.make [| seed; 71 |] in
+  let dom = max 4 (n / 8) in
+  let v () = Value.i (Random.State.int st dom) in
+  let rec fill db =
+    if Database.size db >= n then db
+    else
+      let r = Random.State.int st 20 in
+      fill
+        (if r < 3 then Database.add_row db "A" [ v () ]
+         else if r < 10 then Database.add_row db "R" [ v (); v () ]
+         else if r < 17 then Database.add_row db "S" [ v (); v () ]
+         else Database.add_row db "C" [ v () ])
+  in
+  let db = fill Database.empty in
+  let in_witness =
+    List.fold_left Database.Fact_set.union Database.Fact_set.empty (Eval.witness_fact_sets db q)
+  in
+  let t =
+    List.find
+      (fun (f : Database.fact) -> f.rel = "R" && Database.Fact_set.mem f in_witness)
+      (Database.facts db)
+  in
+  (q, db, t)
+
+(* The reduction spelled out on the exact search, without deduplication,
+   minimality or early stop: over every witness w ∋ t, the resilience of
+   the t-free witnesses with w's facts made exogenous. *)
+let exact_route_min_contingency db q t =
+  let witnesses = Eval.witness_fact_sets db q in
+  let with_t, without_t = List.partition (Database.Fact_set.mem t) witnesses in
+  List.fold_left
+    (fun best w ->
+      let exogenous (f : Database.fact) =
+        Res_cq.Query.is_exogenous q f.rel || Database.Fact_set.mem f w
+      in
+      match Exact.solve_witnesses ~exogenous without_t with
+      | Exact.Complete (Solution.Finite (k, _)) -> (
+        match best with Some b when b <= k -> best | _ -> Some k)
+      | Exact.Complete Solution.Unbreakable -> best
+      | Exact.Interrupted _ -> assert false)
+    None with_t
+
+let linear_responsibility_uses_flow () =
+  let q, db, _ = linear_instance ~seed:1 150 in
+  List.iter
+    (fun (t : Database.fact) ->
+      if t.rel = "R" then
+        Alcotest.(check (option int))
+          (Format.asprintf "flow route = exact route at 150 facts, %a" Database.pp_fact t)
+          (exact_route_min_contingency db q t) (Solver.min_contingency db q t))
+    (Database.facts db);
+  let q, db, t = linear_instance ~seed:1 1000 in
+  Exact.reset_stats ();
+  let r = Solver.min_contingency db q t in
+  check_bool "a cause" true (r <> None);
+  Alcotest.(check int) "no exact node expanded at 10^3 facts" 0 (Exact.last_stats ()).nodes
+
 (* --- the Zoo golden regression ------------------------------------------- *)
 
 (* dune runtest runs with cwd = _build/default/test (where the (deps ...)
@@ -231,4 +342,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sjf_differential;
     QCheck_alcotest.to_alcotest prop_responsibility_matches_definition;
     QCheck_alcotest.to_alcotest prop_engine_responsibility_cached_eq_uncached;
+    QCheck_alcotest.to_alcotest prop_responsibility_interrupted_sound;
+    Alcotest.test_case "responsibility: linear sjf runs on flow" `Quick
+      linear_responsibility_uses_flow;
   ]

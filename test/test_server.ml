@@ -669,6 +669,33 @@ let address_syntax () =
       ("m.sock", "error");
     ]
 
+(* Responsibility keeps its deadline.  On this NP-hard 2-chain instance
+   the uncancelled responsibility of the self-loop R(4,4) runs for tens
+   of seconds; [resp timeout=200] must still answer within the deadline
+   plus slack — an answer or a certified [timeout bound=… lb=…] — and a
+   following [shutdown] must stop the server. *)
+let resp_keeps_deadline () =
+  let db = Db_gen.random_graph ~seed:7 ~nodes:25 ~edges:90 ~rel:"R" in
+  let facts = List.map (Format.asprintf "%a" Database.pp_fact) (Database.facts db) in
+  let line = "resp timeout=200 R(4,4) | R(x,y), R(y,z) | " ^ String.concat "; " facts in
+  let path = temp_socket_path () in
+  let server = Server.start { (Server.default_config (Net.Unix_socket path)) with workers = 2 } in
+  let fd, ic, oc = connect path in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let t0 = Unix.gettimeofday () in
+  let reply = request ic oc line in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    ("an answer or a certified timeout: " ^ reply)
+    true
+    (starts_with "ok responsibility=" reply
+    || (starts_with "timeout bound=" reply && List.exists (starts_with "lb=") (String.split_on_char ' ' reply)));
+  Alcotest.(check bool) (Printf.sprintf "replied after %.3f s" elapsed) true (elapsed < 1.5);
+  Alcotest.(check string) "shutdown acknowledged" "ok shutting down" (request ic oc "shutdown");
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  Server.wait server;
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
 let suite =
   [
     Alcotest.test_case "metrics: counters" `Quick metrics_counters;
@@ -714,4 +741,5 @@ let suite =
     Alcotest.test_case "net: raising handler keeps the connection" `Quick net_raising_handler;
     Alcotest.test_case "net: stop from a connection thread" `Quick net_stop_from_connection;
     Alcotest.test_case "address: command-line syntax" `Quick address_syntax;
+    Alcotest.test_case "server: resp keeps its deadline" `Quick resp_keeps_deadline;
   ]
