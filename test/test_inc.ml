@@ -336,7 +336,9 @@ let strategy_selection () =
   expect "A(x), R(x,y), R(y,x)" "A(1); R(1,2); R(2,1)" "cover-aperm";
   expect "R(x,x), R(x,y), A(y)" "R(1,1); R(1,2); A(2)" "cover-z3";
   expect "R(x,x), R(y,x), A(y)" "R(1,1); R(2,1); A(2)" "cover-z3";
-  expect "R(x,y), R(y,z), R(z,x)" "R(1,2); R(2,3); R(3,1)" "warm-exact"
+  expect "R(x,y), R(y,z), R(z,x)" "R(1,2); R(2,3); R(3,1)" "warm-exact";
+  expect "A(x), R(x,y), R(y,z), R(z,y)" "A(1); R(1,2); R(2,3); R(3,2)" "recompute";
+  expect "A^x(x), R^x(x,y)" "A(1); R(1,2)" "trivial"
 
 let watch_session_basic () =
   let q = qp "R(x,y), R(y,x)" in
