@@ -30,8 +30,10 @@ let greedy ilp =
 
 (* Local search: drop redundant variables, then try replacing any two
    chosen variables by a single one, until a fixpoint.  Capped so the
-   polish never dominates the exact search it is meant to seed. *)
-let improve ?(max_rounds = 8) ilp b =
+   polish never dominates the exact search it is meant to seed; [stop] is
+   polled once per candidate tested, and when it answers true the search
+   keeps the cover it has — every intermediate cover is valid. *)
+let improve ?(max_rounds = 8) ?(stop = fun () -> false) ilp b =
   let too_big = Ilp.n_vars ilp > 400 || List.length b.cover > 60 in
   if too_big then b
   else begin
@@ -46,7 +48,7 @@ let improve ?(max_rounds = 8) ilp b =
     let find_single base =
       let n = Array.length vars in
       let rec go i =
-        if i >= n then None
+        if i >= n || stop () then None
         else begin
           let w = vars.(i) in
           if Iset.mem w base then go (i + 1)
@@ -76,7 +78,7 @@ let improve ?(max_rounds = 8) ilp b =
     in
     let rec loop round cover =
       let cover = reduce cover in
-      if round >= max_rounds then cover
+      if round >= max_rounds || stop () then cover
       else begin
         match swap_once cover with
         | Some better -> loop (round + 1) better
@@ -86,7 +88,7 @@ let improve ?(max_rounds = 8) ilp b =
     of_cover (loop 0 (Iset.of_list b.cover))
   end
 
-let best ilp = improve ilp (greedy ilp)
+let best ?stop ilp = improve ?stop ilp (greedy ilp)
 
 let check ilp b =
   b.value >= List.length (List.sort_uniq compare b.cover) && Ilp.covers ilp b.cover

@@ -10,13 +10,14 @@ val greedy : Ilp.t -> bound
 (** Classic ln(n)-approximate greedy cover: repeatedly choose the
     variable hitting the most uncovered constraints. *)
 
-val improve : ?max_rounds:int -> Ilp.t -> bound -> bound
+val improve : ?max_rounds:int -> ?stop:(unit -> bool) -> Ilp.t -> bound -> bound
 (** Polish a cover by redundancy elimination and 2→1 swaps (replace two
     chosen variables by one), iterated to a fixpoint or [max_rounds].
     Skipped on large programs — the polish must stay cheap relative to
-    the exact search it seeds. *)
+    the exact search it seeds.  [stop] is polled once per swap candidate;
+    once it answers [true] the polish returns the (valid) cover it has. *)
 
-val best : Ilp.t -> bound
+val best : ?stop:(unit -> bool) -> Ilp.t -> bound
 (** [improve ilp (greedy ilp)]. *)
 
 val check : Ilp.t -> bound -> bool

@@ -302,7 +302,7 @@ let solve_component_body ?pool ?seed ?lp_state ~cancel ~lp n_facts bsets =
   Atomic.incr covers_c;
   let sets = List.map (fun b -> (Bitset.cardinal b, b)) bsets in
   let ilp = Res_bounds.Ilp.of_sets ~minimized:true (List.map (fun (_, b) -> is_of_bitset b) sets) in
-  let ub0 = Res_bounds.Upper.best ilp in
+  let ub0 = Res_bounds.Upper.best ~stop:(fun () -> Cancel.cancelled cancel) ilp in
   assert (Res_bounds.Upper.check ilp ub0);
   (* Warm start: if the caller's previous incumbent still hits every witness
      of this component, its restriction to the component's universe is a

@@ -62,10 +62,10 @@ val resilience_bounded :
   Database.t ->
   Res_cq.Query.t ->
   outcome
-(** Like {!resilience}, but polls [cancel] at every branch node.  The
-    polynomial preprocessing (witness enumeration, reductions, greedy
-    cover) always runs to completion; only the exponential search is
-    interruptible.  When the token fires mid-parallel-search, every
+(** Like {!resilience}, but polls [cancel] at every branch node and at
+    every candidate of the greedy cover's local-search polish.  Witness
+    enumeration, the reductions and the greedy cover itself always run to
+    completion.  When the token fires mid-parallel-search, every
     forked subtree stops at its next poll and the summed per-component
     incumbents/lower bounds still sandwich ρ.  [?lp] (default [true])
     switches the LP-relaxation pruning — exposed so the pruning bench

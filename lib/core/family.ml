@@ -14,6 +14,13 @@ let to_string = function
    relations repeat.  Copies are named [R__k], skipping every name the
    query already uses, and reported with their base relation — callers
    read the map rather than parse names. *)
+let fresh_relation taken base =
+  let rec go k =
+    let name = Printf.sprintf "%s__%d" base k in
+    if taken name then go (k + 1) else name
+  in
+  go 1
+
 let split_exogenous_self_joins (q : Query.t) =
   let repeated_exo = List.filter (Query.is_exogenous q) (Query.repeated_relations q) in
   if repeated_exo = [] then (q, [])
@@ -22,11 +29,7 @@ let split_exogenous_self_joins (q : Query.t) =
     List.iter (fun r -> Hashtbl.replace taken r ()) (Query.relations q);
     let copies = ref [] in
     let fresh base =
-      let rec go k =
-        let name = Printf.sprintf "%s__%d" base k in
-        if Hashtbl.mem taken name then go (k + 1) else name
-      in
-      let name = go 1 in
+      let name = fresh_relation (Hashtbl.mem taken) base in
       Hashtbl.replace taken name ();
       copies := (name, base) :: !copies;
       name

@@ -48,6 +48,10 @@ val of_query : Query.t -> t
     Sjf_any_arity] — the query's family is the most demanding regime any
     of its components needs. *)
 
+val fresh_relation : (string -> bool) -> string -> string
+(** [fresh_relation taken base]: [base__k] for the least [k ≥ 1] that
+    [taken] rejects — how every rewrite names the relations it adds. *)
+
 val split_exogenous_self_joins : Query.t -> Query.t * (string * string) list
 (** Rename repeated {e exogenous} relations apart (R → R__1, R__2, …):
     exogenous tuples are never deleted, so duplicating the relation per

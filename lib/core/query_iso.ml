@@ -48,8 +48,8 @@ let isomorphic (q1 : Query.t) (q2 : Query.t) =
   if go SM.empty SM.empty SM.empty SM.empty a1 a2 then !result else None
   end
 
-let find_iso q1 q2 = isomorphic q1 q2
-let isomorphic q1 q2 = isomorphic q1 q2 <> None
+let find_iso = isomorphic
+let isomorphic q1 q2 = find_iso q1 q2 <> None
 
 let matches_template q s = isomorphic q (Parser.query s)
 
@@ -63,10 +63,9 @@ let mirror (q : Query.t) =
   in
   Query.make ~exo atoms
 
-let match_template s q =
-  let tmpl = Parser.query s in
+let match_template tmpl q =
   match find_iso tmpl q with
   | Some (rel_map, _) -> Some (rel_map, false)
   | None -> Option.map (fun (rel_map, _) -> (rel_map, true)) (find_iso tmpl (mirror q))
 
-let matches_template_upto_mirror q s = match_template s q <> None
+let matches_template_upto_mirror q s = match_template (Parser.query s) q <> None

@@ -13,19 +13,15 @@ val matches_template : Query.t -> string -> bool
 (** [matches_template q s] parses [s] (see {!Res_cq.Parser}) and tests
     isomorphism. *)
 
-val find_iso : Query.t -> Query.t -> ((string * string) list * (string * string) list) option
-(** [find_iso q1 q2] is [(rel_map, var_map)] renaming [q1] onto [q2]. *)
-
 val mirror : Query.t -> Query.t
 (** Reverse the argument order of every binary atom.  Resilience is
     invariant under this global symmetry, so template matching should try
     both a template and its mirror. *)
 
-val match_template : string -> Query.t -> ((string * string) list * bool) option
-(** [match_template s q]: the template's relation map onto [q], trying
+val match_template : Query.t -> Query.t -> ((string * string) list * bool) option
+(** [match_template tmpl q]: the template's relation map onto [q], trying
     [q] itself and then its {!mirror}; the flag is [true] when only the
     mirror matched, in which case the map renames the template onto
-    [mirror q].  The one template matcher of the solver dispatch and the
-    incremental sessions. *)
+    [mirror q].  The template matcher of the solver's plan. *)
 
 val matches_template_upto_mirror : Query.t -> string -> bool

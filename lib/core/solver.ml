@@ -18,11 +18,7 @@ let mirror_db db (q : Res_cq.Query.t) =
     (fun acc rel ->
       let tuples = Database.tuples_of db rel in
       let binary = match Res_cq.Query.arity_of q rel with 2 -> true | _ -> false | exception Not_found -> false in
-      List.fold_left
-        (fun acc t ->
-          let t' = if binary then List.rev t else t in
-          Database.add_row acc rel t')
-        acc tuples)
+      Database.with_relation acc rel (if binary then List.map List.rev tuples else tuples))
     Database.empty (Database.relations db)
 
 let mirror_solution (q : Res_cq.Query.t) = function
@@ -36,192 +32,201 @@ let mirror_solution (q : Res_cq.Query.t) = function
     in
     Solution.Finite (v, List.map unflip facts)
 
-(* Run [k rel_map db q] against the template, trying the mirrored query if
-   the direct orientation does not match. *)
-let try_template tmpl db q k =
-  match Query_iso.match_template tmpl q with
-  | None -> None
-  | Some (rel_map, false) -> Some (k rel_map db q)
-  | Some (rel_map, true) ->
-    Some (mirror_solution q (k rel_map (mirror_db db q) (Query_iso.mirror q)))
+(* ---- the plan --------------------------------------------------------- *)
 
-let rel rel_map name = List.assoc name rel_map
+type kernel =
+  | Perm of { r : string }
+  | Aperm of { a : string; r : string }
+  | Z3 of { r : string; a : string }
+  | A3perm of { a : string; r : string }
+  | Swx3perm of { s : string; r : string }
+  | Ts3conf of { t_rel : string; r : string; s_rel : string }
 
-(* An exact search that hit its deadline, carrying the incumbent and the
-   certified root lower bound — unwinds out of the dispatcher to the
-   component combiner. *)
-exception Partial_exact of Solution.t * int
+type route =
+  | Trivial
+  | Flow of { confluence : bool }
+  | Rep_flow of string
+  | Template of { kernel : kernel; mirrored : bool }
+  | Pair_collapse of Special.pair_collapse
+  | Fallback of string
+  | Exact of string
 
-let exact_bounded ?pool cancel db q =
-  match Exact.resilience_bounded ~cancel ?pool db q with
-  | Exact.Complete s -> s
-  | Exact.Interrupted { incumbent; lb } -> raise (Partial_exact (incumbent, lb))
+type component = { query : Res_cq.Query.t; copies : (string * string) list; route : route }
 
-let dispatch_ptime ~cancel ?pool (m : Classify.ptime_method) db q =
-  let exact_bounded = exact_bounded ?pool in
-  let fallback note =
-    (* last polynomial resort before exact search: the instance-level
-       bipartite witness cover (twin collapse + König) *)
-    match Special.solve_witness_bipartite db q with
-    | Some s -> (Printf.sprintf "bipartite witness cover (%s)" note, s)
-    | None -> (Printf.sprintf "exact (fallback: %s)" note, exact_bounded cancel db q)
+(* The templates of each PTIME method, named by their {!Zoo} entries and
+   tried in order; each builds its kernel from the template's relation
+   map. *)
+let templates (m : Classify.ptime_method) =
+  match m with
+  | Classify.Unbound_permutation ->
+    [
+      ("q_perm", fun rel -> Perm { r = rel "R" });
+      ("q_a_perm", fun rel -> Aperm { a = rel "A"; r = rel "R" });
+    ]
+  | Classify.Rep_shared_flow -> [ ("z3", fun rel -> Z3 { r = rel "R"; a = rel "A" }) ]
+  | Classify.Perm3_flow ->
+    [
+      ("q_a_3perm", fun rel -> A3perm { a = rel "A"; r = rel "R" });
+      ("q_swx_3perm", fun rel -> Swx3perm { s = rel "S"; r = rel "R" });
+    ]
+  | Classify.Ts3conf_flow ->
+    [ ("q_ts_3conf", fun rel -> Ts3conf { t_rel = rel "T"; r = rel "R"; s_rel = rel "S" }) ]
+  | Classify.Trivial_no_endogenous | Classify.Sj_free_no_triad | Classify.Confluence_flow -> []
+
+(* A PTIME method's route when none of its templates matches. *)
+let untemplated (m : Classify.ptime_method) q =
+  let unique_self_join what k =
+    match Res_cq.Query.repeated_relations q with
+    | [ r ] -> k r
+    | _ -> Fallback (what ^ " without unique self-join")
   in
   match m with
-  | Classify.Trivial_no_endogenous ->
-    if Eval.sat db q then ("trivial", Solution.Unbreakable) else ("trivial", Solution.Finite (0, []))
-  | Classify.Sj_free_no_triad | Classify.Confluence_flow -> begin
-    match Flow.solve ~cancel db q with
-    | Some s ->
-      let name =
-        if m = Classify.Confluence_flow then "confluence flow (Prop 31)" else "linear flow [31]"
-      in
-      (name, s)
-    | None -> fallback "triad-free but not linear; linearization of [14] out of scope"
-  end
-  | Classify.Unbound_permutation -> begin
-    let direct =
-      try_template "R(x,y), R(y,x)" db q (fun rm db q ->
-          Special.solve_perm ~r:(rel rm "R") db q)
+  | Classify.Trivial_no_endogenous -> Trivial
+  | Classify.Sj_free_no_triad | Classify.Confluence_flow ->
+    if Linearity.is_linear q then Flow { confluence = m = Classify.Confluence_flow }
+    else Fallback "triad-free but not linear; linearization of [14] out of scope"
+  | Classify.Unbound_permutation ->
+    unique_self_join "unbound permutation" (fun r ->
+        match Special.pair_collapse ~r q with
+        | Some pc -> Pair_collapse pc
+        | None -> Fallback "unbound permutation not pair-collapsible")
+  | Classify.Rep_shared_flow ->
+    (* Prop 36 general case: off-diagonal tuples of the self-join relation
+       are never needed; treat them as exogenous and flow. *)
+    unique_self_join "REP expansion" (fun r ->
+        if Linearity.is_linear q then Rep_flow r else Fallback "REP expansion not linear")
+  | Classify.Perm3_flow -> Fallback "3-permutation template mismatch"
+  | Classify.Ts3conf_flow -> Fallback "qTS3conf template mismatch"
+
+let route_of (verdict : Classify.verdict) q =
+  match verdict with
+  | Classify.Ptime m -> begin
+    let matched =
+      List.find_map
+        (fun (tmpl, kernel) ->
+          Option.map
+            (fun (rel_map, mirrored) ->
+              Template { kernel = kernel (fun name -> List.assoc name rel_map); mirrored })
+            (Query_iso.match_template (Zoo.find tmpl).query q))
+        (templates m)
     in
-    let with_a () =
-      try_template "A(x), R(x,y), R(y,x)" db q (fun rm db q ->
-          Special.solve_a_perm ~a:(rel rm "A") ~r:(rel rm "R") db q)
-    in
-    match direct with
-    | Some s -> ("permutation witness pairs (Prop 33)", s)
-    | None -> begin
-      match with_a () with
-      | Some s -> ("permutation bipartite VC (Prop 33)", s)
-      | None -> begin
-        match Res_cq.Query.repeated_relations q with
-        | [ r ] -> begin
-          match Special.solve_unbound_permutation ~r db q with
-          | Some s -> ("unbound permutation pair-collapse flow (Prop 35 case 1)", s)
-          | None -> fallback "unbound permutation not pair-collapsible"
-        end
-        | _ -> fallback "unbound permutation without unique self-join"
-      end
-    end
+    match matched with Some route -> route | None -> untemplated m q
   end
-  | Classify.Rep_shared_flow -> begin
-    match
-      try_template "R(x,x), R(x,y), A(y)" db q (fun rm db q ->
-          Special.solve_z3 ~r:(rel rm "R") ~a:(rel rm "A") db q)
-    with
-    | Some s -> ("z3 bipartite VC (Prop 36)", s)
-    | None -> begin
-      (* Prop 36 general case: off-diagonal tuples of the self-join
-         relation are never needed; treat them as exogenous and flow. *)
-      match Res_cq.Query.repeated_relations q with
-      | [ r ] -> begin
-        let off_diag (f : Database.fact) =
-          f.rel = r && match f.tuple with [ a; b ] -> not (Value.equal a b) | _ -> false
-        in
-        match Flow.solve ~cancel ~fact_exogenous:off_diag db q with
-        | Some s -> ("REP flow with exogenous off-diagonal (Prop 36)", s)
-        | None -> fallback "REP expansion not linear"
-      end
-      | _ -> fallback "REP expansion without unique self-join"
-    end
-  end
-  | Classify.Perm3_flow -> begin
-    match
-      try_template "A(x), R(x,y), R(y,z), R(z,y)" db q (fun rm db q ->
-          Special.solve_a3perm ~a:(rel rm "A") ~r:(rel rm "R") db q)
-    with
-    | Some s -> ("qA3perm-R flow (Prop 13)", s)
-    | None -> begin
-      match
-        try_template "S(w,x), R(x,y), R(y,z), R(z,y)" db q (fun rm db q ->
-            Special.solve_swx3perm ~s:(rel rm "S") ~r:(rel rm "R") db q)
-      with
-      | Some s -> ("qSwx3perm-R flow (Prop 44)", s)
-      | None -> fallback "3-permutation template mismatch"
-    end
-  end
-  | Classify.Ts3conf_flow -> begin
-    match
-      try_template "T^x(x,y), R(x,y), R(z,y), R(z,w), S^x(z,w)" db q (fun rm db q ->
-          Special.solve_ts3conf ~t_rel:(rel rm "T") ~r:(rel rm "R") ~s_rel:(rel rm "S") db q)
-    with
-    | Some s -> ("qTS3conf forced tuples + flow (Prop 41)", s)
-    | None -> fallback "qTS3conf template mismatch"
-  end
+  | Classify.Np_complete r -> Exact (Printf.sprintf "exact (NP-complete: %s)" (Classify.reason_to_string r))
+  | Classify.Open_problem s -> Exact (Printf.sprintf "exact (open: %s)" s)
+  | Classify.Unknown s -> Exact (Printf.sprintf "exact (unknown: %s)" s)
+  | Classify.Heuristic s -> Exact (Printf.sprintf "exact (heuristic: %s)" s)
 
-(* One component: [`Done trace], or [`Partial (Some ub, lb)] when the
-   exact search was interrupted with an incumbent and a certified lower
-   bound, or [`Partial (None, 0)] when a polynomial solver was cancelled
-   mid-run (nothing to salvage). *)
-let solve_component ~cancel ?pool db qc =
-  let { Classify.query = q'; copies; verdict; _ } = Classify.classify_component qc in
-  let db = extend_db_for_split db copies in
-  let exact_bounded = exact_bounded ?pool in
-  match
-    match verdict with
-    | Classify.Ptime m -> dispatch_ptime ~cancel ?pool m db q'
-    | Classify.Np_complete r ->
-      ( Printf.sprintf "exact (NP-complete: %s)" (Classify.reason_to_string r),
-        exact_bounded cancel db q' )
-    | Classify.Open_problem s -> (Printf.sprintf "exact (open: %s)" s, exact_bounded cancel db q')
-    | Classify.Unknown s -> (Printf.sprintf "exact (unknown: %s)" s, exact_bounded cancel db q')
-    | Classify.Heuristic s ->
-      (Printf.sprintf "exact (heuristic: %s)" s, exact_bounded cancel db q')
-  with
-  | algorithm, solution -> `Done { component = q'; algorithm; solution }
-  | exception Partial_exact (ub, lb) -> `Partial (Some ub, lb)
-  | exception Cancel.Cancelled -> `Partial (None, 0)
+let plan q =
+  List.map
+    (fun qc ->
+      let { Classify.query; copies; verdict; _ } = Classify.classify_component qc in
+      { query; copies; route = route_of verdict query })
+    (Res_cq.Components.split (Res_cq.Homomorphism.minimize q))
 
-(* ρ is the minimum over components (Lemma 14): the smaller of two
-   [Finite] answers wins, [Unbreakable] is the identity. *)
-let min_solution a b =
-  match (a, b) with
-  | Solution.Unbreakable, s | s, Solution.Unbreakable -> s
-  | Solution.Finite (v1, _), Solution.Finite (v2, _) -> if v2 < v1 then b else a
+let route_db db c =
+  let db = extend_db_for_split db c.copies in
+  match c.route with Template { mirrored = true; _ } -> mirror_db db c.query | _ -> db
 
-type bounded =
-  | Done of Solution.t * trace list
-  | Timeout of Res_bounds.Interval.t
+(* ---- running a component ---------------------------------------------- *)
+
+type answer = Value of Solution.t | Interval of Res_bounds.Interval.t
 
 let interval_of_solution = function
   | Solution.Unbreakable -> Res_bounds.Interval.unbreakable
   | Solution.Finite (v, facts) -> Res_bounds.Interval.optimal ~witness_set:facts v
 
-let solve_bounded ?(cancel = Cancel.never) ?pool db q =
-  let minimized = Res_cq.Homomorphism.minimize q in
-  let comps = Res_cq.Components.split minimized in
-  let results = List.map (solve_component ~cancel ?pool db) comps in
-  let timed_out = List.exists (function `Partial _ -> true | `Done _ -> false) results in
-  if not timed_out then begin
-    let best =
-      List.fold_left
-        (fun acc -> function `Done t -> min_solution acc t.solution | `Partial _ -> acc)
-        Solution.Unbreakable results
+let interval_of_answer = function Value s -> interval_of_solution s | Interval iv -> iv
+
+(* An interrupted exact search still carries its incumbent and certified
+   root lower bound. *)
+let exact ~cancel ?pool ?seed ?lp_state db q =
+  match Exact.resilience_bounded ~cancel ?pool ?seed ?lp_state db q with
+  | Exact.Complete s -> Value s
+  | Exact.Interrupted { incumbent = Solution.Finite (v, facts); lb } ->
+    Interval (Res_bounds.Interval.of_bounds ~witness_set:facts ~lb ~ub:(Some v) ())
+  | Exact.Interrupted { incumbent = Solution.Unbreakable; lb } ->
+    Interval (Res_bounds.Interval.lower_only lb)
+
+(* A cancelled flow has nothing to salvage. *)
+let flow ~cancel ?fact_exogenous db q =
+  match Flow.solve_exn ~cancel ?fact_exogenous db q with
+  | s -> Value s
+  | exception Cancel.Cancelled -> Interval (Res_bounds.Interval.lower_only 0)
+
+let solve_kernel kernel db q =
+  match kernel with
+  | Perm { r } -> ("permutation witness pairs (Prop 33)", Special.solve_perm ~r db q)
+  | Aperm { a; r } -> ("permutation bipartite VC (Prop 33)", Special.solve_a_perm ~a ~r db q)
+  | Z3 { r; a } -> ("z3 bipartite VC (Prop 36)", Special.solve_z3 ~r ~a db q)
+  | A3perm { a; r } -> ("qA3perm-R flow (Prop 13)", Special.solve_a3perm ~a ~r db q)
+  | Swx3perm { s; r } -> ("qSwx3perm-R flow (Prop 44)", Special.solve_swx3perm ~s ~r db q)
+  | Ts3conf { t_rel; r; s_rel } ->
+    ("qTS3conf forced tuples + flow (Prop 41)", Special.solve_ts3conf ~t_rel ~r ~s_rel db q)
+
+let run ?(cancel = Cancel.never) ?pool ?seed ?lp_state db c =
+  let q = c.query in
+  let db = route_db db c in
+  match c.route with
+  | Trivial -> ("trivial", Value (if Eval.sat db q then Solution.Unbreakable else Solution.Finite (0, [])))
+  | Flow { confluence } ->
+    ((if confluence then "confluence flow (Prop 31)" else "linear flow [31]"), flow ~cancel db q)
+  | Rep_flow r ->
+    let off_diag (f : Database.fact) =
+      f.rel = r && match f.tuple with [ a; b ] -> not (Value.equal a b) | _ -> false
     in
-    Done (best, List.filter_map (function `Done t -> Some t | `Partial _ -> None) results)
+    ("REP flow with exogenous off-diagonal (Prop 36)", flow ~cancel ~fact_exogenous:off_diag db q)
+  | Template { kernel; mirrored } ->
+    let algorithm, s = solve_kernel kernel db (if mirrored then Query_iso.mirror q else q) in
+    (algorithm, Value (if mirrored then mirror_solution q s else s))
+  | Pair_collapse pc ->
+    ("unbound permutation pair-collapse flow (Prop 35 case 1)", Value (Special.solve_pair_collapse pc db q))
+  | Fallback note -> begin
+    (* last polynomial resort before exact search: the instance-level
+       bipartite witness cover (twin collapse + König) *)
+    match Special.solve_witness_bipartite db q with
+    | Some s -> (Printf.sprintf "bipartite witness cover (%s)" note, Value s)
+    | None ->
+      (Printf.sprintf "exact (fallback: %s)" note, exact ~cancel ?pool ?seed ?lp_state db q)
   end
-  else begin
-    (* Every finished component value and every interrupted incumbent is
-       a sound upper bound on the minimum (deleting one component's
-       contingency set already falsifies the conjunction); every
-       component's certified lower bound lower-bounds its ρ, and ρ is
-       their minimum — so intervals combine by
-       {!Res_bounds.Interval.min_components}. *)
-    let interval =
-      List.fold_left
-        (fun acc r ->
-          let iv =
-            match r with
-            | `Done t -> interval_of_solution t.solution
-            | `Partial (Some (Solution.Finite (v, facts)), lb) ->
-              Res_bounds.Interval.of_bounds ~witness_set:facts ~lb ~ub:(Some v) ()
-            | `Partial (Some Solution.Unbreakable, lb) | `Partial (None, lb) ->
-              Res_bounds.Interval.lower_only lb
-          in
-          Res_bounds.Interval.min_components acc iv)
-        Res_bounds.Interval.unbreakable results
-    in
-    Timeout interval
-  end
+  | Exact algorithm -> (algorithm, exact ~cancel ?pool ?seed ?lp_state db q)
+
+(* ρ is the minimum over components (Lemma 14): the smaller [Finite]
+   answer wins, [Unbreakable] is the identity.  Once a deadline cut one
+   component short, every finished value and every incumbent is still a
+   sound upper bound on the minimum (deleting one component's contingency
+   set falsifies the conjunction) and every certified lower bound bounds
+   its component's ρ, so the intervals combine by
+   {!Res_bounds.Interval.min_components}. *)
+let combine answers =
+  let min_solution a b =
+    match (a, b) with
+    | Solution.Unbreakable, s | s, Solution.Unbreakable -> s
+    | Solution.Finite (v1, _), Solution.Finite (v2, _) -> if v2 < v1 then b else a
+  in
+  if List.for_all (function Value _ -> true | Interval _ -> false) answers then
+    Value
+      (List.fold_left
+         (fun acc -> function Value s -> min_solution acc s | Interval _ -> acc)
+         Solution.Unbreakable answers)
+  else
+    Interval
+      (List.fold_left
+         (fun acc a -> Res_bounds.Interval.min_components acc (interval_of_answer a))
+         Res_bounds.Interval.unbreakable answers)
+
+type bounded =
+  | Done of Solution.t * trace list
+  | Timeout of Res_bounds.Interval.t
+
+let solve_bounded ?cancel ?pool db q =
+  let runs = List.map (fun c -> (c, run ?cancel ?pool db c)) (plan q) in
+  match combine (List.map (fun (_, (_, a)) -> a) runs) with
+  | Interval iv -> Timeout iv
+  | Value best ->
+    Done (best, List.filter_map (function
+      | c, (algorithm, Value solution) -> Some { component = c.query; algorithm; solution }
+      | _, (_, Interval _) -> None) runs)
 
 let solve_traced db q =
   match solve_bounded db q with

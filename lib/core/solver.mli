@@ -1,20 +1,19 @@
-(** The resilience solver front end.
+(** The resilience solver front end: plan, run, combine.
 
-    Mirrors the classification pipeline: minimize the query, split it into
-    connected components (ρ is the minimum over components, Lemma 14),
-    normalize domination per component (Prop 18), then dispatch each
-    component to the algorithm its {!Classify} verdict licenses:
+    {!plan} is the one place a component gets its algorithm.  It mirrors
+    the classification pipeline — minimize, split into connected
+    components (ρ is their minimum, Lemma 14), {!Classify} each — and
+    picks each component's {!route} from the query alone: a polynomial
+    algorithm ({!Flow}, a {!Special} solver, the trivial probe) for PTIME
+    verdicts, {!Exact} branch-and-bound otherwise.  A PTIME class whose
+    polynomial algorithm the paper only sketches for this query shape
+    gets the fallback: the bipartite witness cover, then {!Exact} when the
+    instance has no such cover — still correct, just not guaranteed
+    polynomial (DESIGN.md §7).
 
-    - PTIME verdicts run the matching polynomial algorithm — the generic
-      linear flow ({!Flow}), one of the specialized solvers ({!Special}),
-      or the trivial case;
-    - NP-complete / open / unknown verdicts run the exact branch-and-bound
-      solver ({!Exact}).
-
-    A handful of PTIME classes whose polynomial algorithm the paper only
-    sketches for the general (pseudo-linear, non-linear) case fall back to
-    {!Exact} with an explanatory note — the answer is still correct, just
-    not guaranteed polynomial (see DESIGN.md §7). *)
+    {!run} solves one planned component, {!combine} takes the minimum.
+    The incremental session ([lib/inc]) keeps the same plan: it maintains
+    the routes that have a dynamic twin and calls {!run} for the rest. *)
 
 open Res_db
 
@@ -57,10 +56,6 @@ val solve_bounded :
     {!Exact.resilience_bounded}).  Omitted, or with [jobs = 1], solving
     is exactly the sequential program. *)
 
-val min_solution : Solution.t -> Solution.t -> Solution.t
-(** The combination of two components' answers (Lemma 14): the smaller
-    [Finite] wins, [Unbreakable] is the identity. *)
-
 val interval_of_solution : Solution.t -> Res_bounds.Interval.t
 (** [Finite (v, set)] ↦ the optimal interval [⟨v, v⟩]; [Unbreakable] ↦
     {!Res_bounds.Interval.unbreakable}. *)
@@ -68,12 +63,69 @@ val interval_of_solution : Solution.t -> Res_bounds.Interval.t
 val value : Database.t -> Res_cq.Query.t -> int option
 (** [Some ρ] or [None] (unbreakable). *)
 
-val extend_db_for_split : Database.t -> (string * string) list -> Database.t
-(** Materialize an exogenous split on the database: each [(copy, base)]
-    of {!Classify.component}'s [copies] gets exactly the tuples of its
-    base relation.  Exposed for the incremental session ([lib/inc]),
-    which must present strategies with the same extended view the
-    dispatcher solves against. *)
+(** {2 The component plan} *)
+
+(** A {!Special} solver, with the relation names its template matched. *)
+type kernel =
+  | Perm of { r : string }  (** [R(x,y), R(y,x)], Prop 33 *)
+  | Aperm of { a : string; r : string }  (** [A(x), R(x,y), R(y,x)], Prop 33 *)
+  | Z3 of { r : string; a : string }  (** [R(x,x), R(x,y), A(y)], Prop 36 *)
+  | A3perm of { a : string; r : string }  (** qA3perm-R, Prop 13 *)
+  | Swx3perm of { s : string; r : string }  (** qSwx3perm-R, Prop 44 *)
+  | Ts3conf of { t_rel : string; r : string; s_rel : string }  (** qTS3conf, Prop 41 *)
+
+type route =
+  | Trivial  (** no endogenous atom: ρ is 0 or ∞ *)
+  | Flow of { confluence : bool }  (** the linear flow, or Prop 31's confluence flow *)
+  | Rep_flow of string  (** Prop 36: the flow, this relation's off-diagonal tuples exogenous *)
+  | Template of { kernel : kernel; mirrored : bool }
+      (** [mirrored]: only the component's mirror matched, so the kernel
+          runs on the mirrored instance *)
+  | Pair_collapse of Special.pair_collapse  (** Prop 35 case 1 *)
+  | Fallback of string  (** bipartite witness cover, else exact; the string says why *)
+  | Exact of string  (** branch-and-bound, under this algorithm name *)
+
+type component = {
+  query : Res_cq.Query.t;  (** the analyzed query: normalized, exogenous-split *)
+  copies : (string * string) list;  (** {!Classify.component}'s split copies *)
+  route : route;
+}
+
+val plan : Res_cq.Query.t -> component list
+(** Minimize → split → {!Classify.classify_component} → route, one entry
+    per connected component. *)
+
+val route_db : Database.t -> component -> Database.t
+(** The database the component's route solves against: each split copy
+    materialized as its base relation's tuples and, for a mirrored
+    template, every binary tuple reversed. *)
+
+type answer =
+  | Value of Solution.t
+  | Interval of Res_bounds.Interval.t
+      (** a deadline cut the route short; the interval brackets ρ *)
+
+val run :
+  ?cancel:Cancel.t ->
+  ?pool:Res_exec.Executor.t ->
+  ?seed:Database.fact list ->
+  ?lp_state:int array option Atomic.t ->
+  Database.t ->
+  component ->
+  string * answer
+(** Solve one planned component on the user's database: the algorithm
+    that answered and its answer.  A data-dependent fallback (no bipartite
+    witness cover) is taken here.  [?seed] and [?lp_state] warm-start an
+    exact search, as in {!Exact.resilience_bounded}; other routes ignore
+    them. *)
+
+val combine : answer list -> answer
+(** Lemma 14: the minimum over components — a [Value] when every
+    component finished, else the intervals combined by
+    {!Res_bounds.Interval.min_components}. *)
+
+val interval_of_answer : answer -> Res_bounds.Interval.t
+(** A [Value] as the degenerate optimal interval; an [Interval] as itself. *)
 
 (** {2 The mirror symmetry}
 

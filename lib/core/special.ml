@@ -6,23 +6,18 @@ module Obs = Res_obs.Obs
 (* Shared finishing step: drop redundant facts greedily (only worthwhile
    for small sets — the flow and König results are already optimal, the
    greedy pass just strips duplicate-edge artifacts), then check the
-   result really falsifies the query.  The size gate lives in [Tuning]. *)
-let finalize db q facts =
+   result really falsifies the query.  The size gate lives in [Tuning].
+   The kernels pass their [view]: the check then replays the removals on
+   its already-interned columns instead of recompiling [db - minimal] —
+   at 10^6 tuples that re-intern + semijoin dominated the whole solve. *)
+let finalize ?view db q facts =
   let minimal =
     Obs.span ~cat:"special" "minimalize" @@ fun () -> Tuning.minimalize db q facts
   in
-  assert (not (Eval.sat (Database.remove_all db minimal) q));
-  Solution.Finite (List.length minimal, minimal)
-
-(* Kernel variant: the falsification check replays the removals on the
-   view's already-interned columns ([view_sat_removed]) instead of
-   recompiling [db - minimal] from scratch — at 10^6 tuples that
-   re-intern + semijoin dominated the whole solve. *)
-let finalize_kernel view db q facts =
-  let minimal =
-    Obs.span ~cat:"special" "minimalize" @@ fun () -> Tuning.minimalize db q facts
-  in
-  assert (not (Eval.view_sat_removed view (Eval.view_removals_of_facts view minimal)));
+  assert (
+    match view with
+    | Some view -> not (Eval.view_sat_removed view (Eval.view_removals_of_facts view minimal))
+    | None -> not (Eval.sat (Database.remove_all db minimal) q));
   Solution.Finite (List.length minimal, minimal)
 
 module VP = struct
@@ -89,7 +84,7 @@ let kernel_two_way view r =
 let solve_perm ~r db q =
   let view = view_of db q in
   let pairs = Obs.span ~cat:"special" "build" @@ fun () -> kernel_two_way view r in
-  finalize_kernel view db q (Array.to_list (Array.map (pair_fact view r) pairs))
+  finalize ~view db q (Array.to_list (Array.map (pair_fact view r) pairs))
 
 (* Proposition 33, qAperm: König cover between A-values and two-way pairs. *)
 let solve_a_perm ~a ~r db q =
@@ -107,7 +102,7 @@ let solve_a_perm ~a ~r db q =
     List.map (fun ai -> Database.fact a [ Eval.view_value view cg.left_ids.(ai) ]) left
     @ List.map (fun pi -> pair_fact view r cg.right_keys.(pi)) right
   in
-  finalize_kernel view db q facts
+  finalize ~view db q facts
 
 (* Proposition 36, z3: König cover between diagonal R-tuples and A-tuples. *)
 let solve_z3 ~r ~a db q =
@@ -131,7 +126,7 @@ let solve_z3 ~r ~a db q =
       left
     @ List.map (fun ai -> Database.fact a [ Eval.view_value view cg.right_keys.(ai) ]) right
   in
-  finalize_kernel view db q facts
+  finalize ~view db q facts
 
 (* --- Propositions 13 and 44 ------------------------------------------- *)
 
@@ -280,7 +275,7 @@ let solve_ts3conf ~t_rel ~r ~s_rel db q =
   let forced =
     List.filter
       (fun tuple ->
-        List.mem tuple (Database.tuples_of db t_rel) && List.mem tuple (Database.tuples_of db s_rel))
+        Database.mem db (Database.fact t_rel tuple) && Database.mem db (Database.fact s_rel tuple))
       (Database.tuples_of db r)
     |> List.map (fun tuple -> Database.fact r tuple)
   in
@@ -412,7 +407,29 @@ let solve_witness_bipartite db (q : Res_cq.Query.t) =
 
 (* --- Proposition 35 case 1: general unbound permutations ---------------- *)
 
-let solve_unbound_permutation ~r db (q : Res_cq.Query.t) =
+(* The query-level half of the rewrite: the permutation variable [x]
+   that stays, the exogenous atoms mentioning the other one (they filter
+   which orientations of a pair are active), and the atoms kept as they
+   are. *)
+type pair_collapse = {
+  r : string;
+  x : string;
+  y_guards : Res_cq.Atom.t list;
+  kept : Res_cq.Atom.t list;
+}
+
+(* The rewritten query over relation names [taken] lacks: the R-atoms
+   become Pair^x(x,p), Pay(p). *)
+let collapsed_query pc ~taken (q : Res_cq.Query.t) =
+  let pair_rel = Family.fresh_relation taken pc.r in
+  let pay_rel = Family.fresh_relation (fun n -> n = pair_rel || taken n) pc.r in
+  let exo = pair_rel :: List.filter (Res_cq.Query.is_exogenous q) (Res_cq.Query.relations q) in
+  let atoms =
+    pc.kept @ [ Res_cq.Atom.make pair_rel [ pc.x; "__p" ]; Res_cq.Atom.make pay_rel [ "__p" ] ]
+  in
+  (pair_rel, pay_rel, Res_cq.Query.make ~exo atoms)
+
+let pair_collapse ~r (q : Res_cq.Query.t) =
   match Patterns.two_atom_pattern q with
   | Some (Patterns.Permutation (x, y)) when Patterns.self_join q = Some (r, Res_cq.Query.atoms_of_rel q r)
     -> begin
@@ -424,65 +441,49 @@ let solve_unbound_permutation ~r db (q : Res_cq.Query.t) =
     let x, y =
       if free y then (x, y) else if free x then (y, x) else (x, y)
     in
-    if not (free y) then None
+    let y_guards = List.filter (occurs y) others in
+    (* atoms mentioning y may mention x besides, nothing else *)
+    if (not (free y))
+       || List.exists (fun (a : Res_cq.Atom.t) -> List.exists (fun v -> v <> x && v <> y) a.args) y_guards
+    then None
     else begin
-      (* exogenous atoms mentioning y filter which pair orientations are
-         active; atoms mentioning both x and y join per orientation *)
-      let y_guards = List.filter (occurs y) others in
-      if List.exists (fun (a : Res_cq.Atom.t) -> List.exists (fun v -> v <> x && v <> y) a.args) y_guards
-      then None
-      else begin
-        let guard_ok c d =
-          (* does orientation (x=c, y=d) pass every y-guard? *)
-          List.for_all
-            (fun (a : Res_cq.Atom.t) ->
-              let tuple = List.map (fun v -> if v = x then c else d) a.args in
-              Database.mem db (Database.fact a.rel tuple))
-            y_guards
-        in
-        let pairs = two_way_pairs db r in
-        let pair_value (c, d) = Value.pair c d in
-        let pair_rel = r ^ "__pair" and pay_rel = r ^ "__pay" in
-        let p_var = "__p" in
-        let db' =
-          List.fold_left
-            (fun acc ((c, d) as pr) ->
-              let pv = pair_value pr in
-              let acc =
-                if guard_ok c d then Database.add_row acc pair_rel [ c; pv ] else acc
-              in
-              let acc =
-                if (not (Value.equal c d)) && guard_ok d c then
-                  Database.add_row acc pair_rel [ d; pv ]
-                else acc
-              in
-              if guard_ok c d || ((not (Value.equal c d)) && guard_ok d c) then
-                Database.add_row acc pay_rel [ pv ]
-              else acc)
-            db pairs
-        in
-        let q_atoms =
-          List.filter (fun (a : Res_cq.Atom.t) -> not (occurs y a)) others
-          @ [ Res_cq.Atom.make pair_rel [ x; p_var ]; Res_cq.Atom.make pay_rel [ p_var ] ]
-        in
-        let exo =
-          pair_rel :: List.filter (Res_cq.Query.is_exogenous q) (Res_cq.Query.relations q)
-        in
-        let q' = Res_cq.Query.make ~exo q_atoms in
-        match Flow.solve db' q' with
-        | Some (Solution.Finite (_, facts)) ->
-          let translate (f : Database.fact) =
-            if f.rel = pay_rel then begin
-              match f.tuple with
-              | [ Value.Pair (c, d) ] -> Database.fact r [ c; d ]
-              | _ -> f
-            end
-            else f
-          in
-          Some (finalize db q (List.map translate facts))
-        | Some Solution.Unbreakable -> Some Solution.Unbreakable
-        | None -> None
-      end
+      let pc = { r; x; y_guards; kept = List.filter (fun a -> not (occurs y a)) others } in
+      let _, _, q' = collapsed_query pc ~taken:(fun n -> List.mem n (Res_cq.Query.relations q)) q in
+      if Linearity.is_linear q' then Some pc else None
     end
   end
   | _ -> None
+
+let solve_pair_collapse pc db (q : Res_cq.Query.t) =
+  let { r; x; y_guards; _ } = pc in
+  let guard_ok c d =
+    (* does orientation (x=c, y=d) pass every y-guard? *)
+    List.for_all
+      (fun (a : Res_cq.Atom.t) ->
+        let tuple = List.map (fun v -> if v = x then c else d) a.args in
+        Database.mem db (Database.fact a.rel tuple))
+      y_guards
+  in
+  (* the helper relations join the caller's database, so their names must
+     be fresh for its relations as well as the query's *)
+  let taken n = List.mem n (Res_cq.Query.relations q) || List.mem n (Database.relations db) in
+  let pair_rel, pay_rel, q' = collapsed_query pc ~taken q in
+  let db' =
+    List.fold_left
+      (fun acc (c, d) ->
+        let pv = Value.pair c d in
+        let fwd = guard_ok c d and bwd = (not (Value.equal c d)) && guard_ok d c in
+        let acc = if fwd then Database.add_row acc pair_rel [ c; pv ] else acc in
+        let acc = if bwd then Database.add_row acc pair_rel [ d; pv ] else acc in
+        if fwd || bwd then Database.add_row acc pay_rel [ pv ] else acc)
+      db (two_way_pairs db r)
+  in
+  match Flow.solve_exn db' q' with
+  | Solution.Finite (_, facts) ->
+    let translate (f : Database.fact) =
+      match f.tuple with
+      | [ Value.Pair (c, d) ] when f.rel = pay_rel -> Database.fact r [ c; d ]
+      | _ -> f
+    in
+    finalize db q (List.map translate facts)
+  | Solution.Unbreakable -> Solution.Unbreakable

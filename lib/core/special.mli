@@ -47,7 +47,12 @@ val solve_witness_bipartite : Database.t -> Res_cq.Query.t -> Solution.t option
     (qrats-style after normalization, unbound permutations with exogenous
     guards, qAperm, z3) uniformly. *)
 
-val solve_unbound_permutation : r:string -> Database.t -> Res_cq.Query.t -> Solution.t option
+type pair_collapse
+(** The query-level half of Proposition 35 case 1 (below): which
+    permutation variable collapses into the pair unit, and the atoms the
+    rewrite keeps. *)
+
+val pair_collapse : r:string -> Res_cq.Query.t -> pair_collapse option
 (** Proposition 35 case 1: the general unbound permutation.  The two
     R-atoms R(x,y), R(y,x) appear in every witness as a two-way pair
     {c,d}, and deleting either orientation kills every witness of the
@@ -56,4 +61,9 @@ val solve_unbound_permutation : r:string -> Database.t -> Res_cq.Query.t -> Solu
     for every witness-active orientation, Pay one unit tuple per pair) and
     run the standard linear flow on the rewritten query.  Applicable when
     the rewritten query is linear and every non-R atom containing the
-    second permutation variable is exogenous; [None] otherwise. *)
+    second permutation variable is exogenous; [None] otherwise.  Decided
+    from the query alone. *)
+
+val solve_pair_collapse : pair_collapse -> Database.t -> Res_cq.Query.t -> Solution.t
+(** Run the rewrite of {!pair_collapse} on a database.  Pair and Pay get
+    names that neither the query nor the database uses. *)

@@ -1,15 +1,17 @@
 (** A streaming resilience session: one query, a versioned database, and an
     answer maintained under delta batches.
 
-    The session runs {!Resilience.Solver}'s pipeline once — minimize, split
-    into components, classify — and picks a maintenance strategy per
-    component: dynamic flow repair ({!Incflow}), the incremental
-    permutation-template structures ({!Dynspecial}), warm-started
-    branch-and-bound for hard components (previous contingency set as seed
-    incumbent, previous root LP basis), or plain re-solving for polynomial
-    classes outside the incremental fragment.  Every strategy is exact: the
-    answer after each batch equals a from-scratch solve of the current
-    database (the differential suite pins this on random delta sequences).
+    The session keeps {!Resilience.Solver.plan}'s components and routes —
+    the one place a component's algorithm is chosen — and maintains each
+    route: dynamic flow repair ({!Incflow}) for a flow route, the
+    incremental permutation-template structures ({!Dynspecial}) for the
+    perm, A-perm and z3 kernels, the exact route warm-started (previous
+    contingency set as seed incumbent, previous root LP basis), and
+    {!Resilience.Solver.run} on the component for every other route,
+    without reclassifying.  Components combine by
+    {!Resilience.Solver.combine}.  Every strategy is exact: the answer
+    after each batch equals a from-scratch solve of the current database
+    (the differential suite pins this on random delta sequences).
 
     Deltas are expressed against the user's relations; alias routing and the
     mirror symmetry are handled internally, and all returned facts belong to
@@ -21,7 +23,7 @@ type t
 
 (** A per-batch answer: the exact resilience, or — only when a [cancel]
     deadline interrupted a hard component — a bracketing interval. *)
-type result =
+type result = Resilience.Solver.answer =
   | Value of Resilience.Solution.t
   | Interval of Res_bounds.Interval.t
 
@@ -31,7 +33,7 @@ val create :
   Database.t ->
   Res_cq.Query.t ->
   t
-(** Classify, build the per-component structures, and compute the initial
+(** Plan, build the per-component structures, and compute the initial
     answer (available via {!last}). *)
 
 val apply :

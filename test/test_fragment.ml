@@ -239,8 +239,9 @@ let unbound_perm_flow_agreement () =
       let query = q qs in
       for seed = 1 to 15 do
         let db = Db_gen.random_for_query ~seed ~domain:4 ~tuples_per_relation:8 query in
-        match Special.solve_unbound_permutation ~r:"R" db query with
-        | Some s ->
+        match Special.pair_collapse ~r:"R" query with
+        | Some pc ->
+          let s = Special.solve_pair_collapse pc db query in
           check_bool
             (Printf.sprintf "%s seed %d" qs seed)
             true
@@ -258,8 +259,7 @@ let unbound_perm_flow_agreement () =
 let unbound_perm_flow_rejects_bound () =
   (* bound permutations must not be claimed *)
   let query = q "A(x), R(x,y), R(y,x), B(y)" in
-  let db = Db_gen.random_for_query ~seed:1 ~domain:3 ~tuples_per_relation:6 query in
-  check_bool "bound rejected" true (Special.solve_unbound_permutation ~r:"R" db query = None)
+  check_bool "bound rejected" true (Special.pair_collapse ~r:"R" query = None)
 
 let suite =
   suite

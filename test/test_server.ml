@@ -285,6 +285,22 @@ let gadget_interruption_monotone () =
         Alcotest.fail "interruption never reports unbreakable")
     [ 1; 10; 100; 1_000; 10_000; 1_000_000_000 ]
 
+(* The deadline covers the greedy cover's local-search polish too: a step
+   budget the polish alone exhausts stops the solve before its first
+   branch node, and the polished-so-far cover still brackets ρ. *)
+let polish_stops_at_the_token () =
+  let db = Db_gen.random_graph ~seed:2 ~nodes:20 ~edges:60 ~rel:"R" in
+  let q = Res_cq.Parser.query "R(x,y), R(y,z)" in
+  let rho = Option.get (Resilience.Exact.value db q) in
+  Resilience.Exact.reset_stats ();
+  match Resilience.Exact.resilience_bounded ~cancel:(Cancel.of_steps 20) db q with
+  | Resilience.Exact.Interrupted { incumbent = Resilience.Solution.Finite (ub, set); lb } ->
+    Alcotest.(check int) "no branch node expanded" 0 (Resilience.Exact.last_stats ()).nodes;
+    Alcotest.(check bool) "lb <= rho <= ub" true (lb <= rho && rho <= ub);
+    Alcotest.(check bool) "genuine contingency set" true
+      (List.length set = ub && Resilience.Exact.is_contingency_set db q set)
+  | _ -> Alcotest.fail "a 20-step budget must interrupt the solve"
+
 (* --- a live server over a Unix socket ------------------------------------ *)
 
 open Sock
@@ -730,6 +746,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_interrupted_bound_sound;
     QCheck_alcotest.to_alcotest prop_solver_bounded_sound;
     Alcotest.test_case "gadget: interruption monotone + sound" `Quick gadget_interruption_monotone;
+    Alcotest.test_case "cancel: the token stops the cover polish" `Quick polish_stops_at_the_token;
     Alcotest.test_case "server: basics over a socket" `Quick server_basics;
     Alcotest.test_case "server: concurrent flood with deadlines" `Slow flood;
     Alcotest.test_case "server: shutdown drains watchers" `Quick shutdown_drains_watchers;

@@ -220,13 +220,13 @@ let iso_mirror () =
        "A(x), R(x,y), R(y,z), R(z,y)")
 
 let iso_mapping () =
-  (match Query_iso.match_template "A(x), R(x,y), R(y,x)" (q "B(u), P(u,v), P(v,u)") with
+  (match Query_iso.match_template (q "A(x), R(x,y), R(y,x)") (q "B(u), P(u,v), P(v,u)") with
   | Some (rels, mirrored) ->
     check_bool "A -> B" true (List.assoc "A" rels = "B");
     check_bool "R -> P" true (List.assoc "R" rels = "P");
     check_bool "direct match" false mirrored
   | None -> Alcotest.fail "expected an isomorphism");
-  match Query_iso.match_template "R(x,x), R(x,y), A(y)" (q "P(u,u), P(v,u), B(v)") with
+  match Query_iso.match_template (q "R(x,x), R(x,y), A(y)") (q "P(u,u), P(v,u), B(v)") with
   | Some (rels, mirrored) ->
     check_bool "A -> B through the mirror" true (List.assoc "A" rels = "B");
     check_bool "mirror match" true mirrored
