@@ -65,14 +65,15 @@ val value : Database.t -> Res_cq.Query.t -> int option
 
 (** {2 The component plan} *)
 
-(** A {!Special} solver, with the relation names its template matched. *)
+(** A {!Special} solver, with the relation names its template — the
+    {!Zoo} entry named below — matched. *)
 type kernel =
-  | Perm of { r : string }  (** [R(x,y), R(y,x)], Prop 33 *)
-  | Aperm of { a : string; r : string }  (** [A(x), R(x,y), R(y,x)], Prop 33 *)
-  | Z3 of { r : string; a : string }  (** [R(x,x), R(x,y), A(y)], Prop 36 *)
-  | A3perm of { a : string; r : string }  (** qA3perm-R, Prop 13 *)
-  | Swx3perm of { s : string; r : string }  (** qSwx3perm-R, Prop 44 *)
-  | Ts3conf of { t_rel : string; r : string; s_rel : string }  (** qTS3conf, Prop 41 *)
+  | Perm of { r : string }  (** [q_perm], Prop 33 *)
+  | Aperm of { a : string; r : string }  (** [q_a_perm], Prop 33 *)
+  | Z3 of { r : string; a : string }  (** [z3], Prop 36 *)
+  | A3perm of { a : string; r : string }  (** [q_a_3perm], Prop 13 *)
+  | Swx3perm of { s : string; r : string }  (** [q_swx_3perm], Prop 44 *)
+  | Ts3conf of { t_rel : string; r : string; s_rel : string }  (** [q_ts_3conf], Prop 41 *)
 
 type route =
   | Trivial  (** no endogenous atom: ρ is 0 or ∞ *)
@@ -132,7 +133,7 @@ val interval_of_answer : answer -> Res_bounds.Interval.t
     Reversing every binary atom ({!Query_iso.mirror}) together with every
     binary tuple is a global symmetry of resilience: ρ(D, q) =
     ρ(mirror D, mirror q), and contingency sets transfer through
-    {!mirror_solution}.  The dispatcher uses this to match a template in
+    {!mirror_solution}.  The plan uses this to match a template in
     either orientation; {!Res_engine.Canon} uses it to merge a class with
     its mirror under one key. *)
 

@@ -67,12 +67,12 @@ let strategy_name c =
 (* The dynamic twin of a route, built on the database the route solves
    against; [Rerun] where there is none. *)
 let twin_of db (c : Solver.component) =
-  let db = Solver.route_db db c in
+  let db () = Solver.route_db db c in
   match c.route with
-  | Solver.Template { kernel = Solver.Perm { r }; _ } -> Pairs (Dynspecial.Pairs.create ~r db)
-  | Solver.Template { kernel = Solver.Aperm { a; r }; _ } -> Aperm (Dynspecial.APerm.create ~a ~r db)
-  | Solver.Template { kernel = Solver.Z3 { r; a }; _ } -> Z3 (Dynspecial.Z3.create ~r ~a db)
-  | Solver.Flow _ -> ( match Incflow.create db c.query with Some i -> Flow i | None -> Rerun)
+  | Solver.Template { kernel = Solver.Perm { r }; _ } -> Pairs (Dynspecial.Pairs.create ~r (db ()))
+  | Solver.Template { kernel = Solver.Aperm { a; r }; _ } -> Aperm (Dynspecial.APerm.create ~a ~r (db ()))
+  | Solver.Template { kernel = Solver.Z3 { r; a }; _ } -> Z3 (Dynspecial.Z3.create ~r ~a (db ()))
+  | Solver.Flow _ -> ( match Incflow.create (db ()) c.query with Some i -> Flow i | None -> Rerun)
   | Solver.Exact _ -> Warm { seed = []; lp_state = Atomic.make None }
   | _ -> Rerun
 
