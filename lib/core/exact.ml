@@ -297,8 +297,11 @@ let rec branch ~cancel ~best ~lp_budget ~n_facts chosen depth sets =
 (* One connected component: greedy-cover incumbent, certified root lower
    bound, then branch-and-bound — sequentially, or with the top of the
    search tree forked into executor tasks that share the incumbent, the
-   LP budget and the cancellation token. *)
-let solve_component_body ?pool ?seed ?lp_state ~cancel ~lp n_facts bsets =
+   LP budget and the cancellation token.  A [cutoff] below the start
+   incumbent takes its place as a placeholder the search must beat, so
+   only covers smaller than [cutoff] are searched for; if none is found
+   the real start incumbent is returned. *)
+let solve_component_body ?pool ?seed ?lp_state ?cutoff ~cancel ~lp n_facts bsets =
   Atomic.incr covers_c;
   let sets = List.map (fun b -> (Bitset.cardinal b, b)) bsets in
   let ilp = Res_bounds.Ilp.of_sets ~minimized:true (List.map (fun (_, b) -> is_of_bitset b) sets) in
@@ -322,12 +325,20 @@ let solve_component_body ?pool ?seed ?lp_state ~cancel ~lp n_facts bsets =
   let start =
     match seeded with Some (v, c) when v < fst ub0_pair -> (v, c) | _ -> ub0_pair
   in
-  let best = Atomic.make start in
+  let placeholder = [ -1 ] in
+  let best =
+    Atomic.make
+      (match cutoff with Some c when c < fst start -> (c, placeholder) | _ -> start)
+  in
+  let incumbent () =
+    let ((_, chosen) as b) = Atomic.get best in
+    if chosen == placeholder then start else b
+  in
   let lp_budget = Atomic.make (if lp then lp_call_budget else 0) in
   let root_lb =
     match lower_of ?lp_state ~lp_budget ~n_facts 0 sets with `Lp (l, _) -> l | `Pack p -> p
   in
-  if root_lb >= fst (Atomic.get best) then `Complete (Atomic.get best)
+  if root_lb >= fst (Atomic.get best) then `Complete (incumbent ())
   else begin
     let parallel_root pool =
       (* the root expansion of [branch [] 0], with the pivot's branches
@@ -375,15 +386,29 @@ let solve_component_body ?pool ?seed ?lp_state ~cancel ~lp n_facts bsets =
         | exception Cancel.Cancelled -> false
       end
     in
-    if finished then `Complete (Atomic.get best) else `Interrupted (Atomic.get best, root_lb)
+    if finished then `Complete (incumbent ()) else `Interrupted (incumbent (), root_lb)
   end
 
-let solve_component ?pool ?seed ?lp_state ~cancel ~lp n_facts bsets =
+let solve_component ?pool ?seed ?lp_state ~cancel ~lp n_facts (cutoff, bsets) =
   if Obs.enabled () then
     Obs.span ~cat:"bnb" "component"
       ~args:[ ("witnesses", string_of_int (List.length bsets)) ]
-      (fun () -> solve_component_body ?pool ?seed ?lp_state ~cancel ~lp n_facts bsets)
-  else solve_component_body ?pool ?seed ?lp_state ~cancel ~lp n_facts bsets
+      (fun () -> solve_component_body ?pool ?seed ?lp_state ?cutoff ~cancel ~lp n_facts bsets)
+  else solve_component_body ?pool ?seed ?lp_state ?cutoff ~cancel ~lp n_facts bsets
+
+(* A total cutoff [c] split over components: component i only has to
+   beat [c - Σ_{j≠i} pack_j].  Packings lower-bound the other components'
+   optima, so if the whole optimum is below [c], each component's is
+   below its share and every component is searched to optimality. *)
+let component_cutoffs n_facts cutoff comps =
+  match cutoff with
+  | None -> List.map (fun c -> (None, c)) comps
+  | Some cut ->
+    let packs =
+      List.map (fun c -> packing_bound_b n_facts (List.map (fun b -> (Bitset.cardinal b, b)) c)) comps
+    in
+    let total = List.fold_left ( + ) 0 packs in
+    List.map2 (fun p c -> (Some (cut - (total - p)), c)) packs comps
 
 (* Branch-and-bound on the hitting-set instance.  Witness minimization,
    fact dominance, then a split into connected components of the
@@ -392,7 +417,7 @@ let solve_component ?pool ?seed ?lp_state ~cancel ~lp n_facts bsets =
    are a genuine hitting set — that is what [`Interrupted] carries,
    together with the summed certified lower bounds (a finished
    component contributes its exact optimum to both sides). *)
-let solve_hitting_set ?(cancel = Cancel.never) ?(lp = true) ?pool ?seed ?lp_state sets =
+let solve_hitting_set ?(cancel = Cancel.never) ?(lp = true) ?pool ?seed ?lp_state ?cutoff sets =
   match sets with
   | [] -> `Complete (0, [])
   | _ ->
@@ -412,7 +437,7 @@ let solve_hitting_set ?(cancel = Cancel.never) ?(lp = true) ?pool ?seed ?lp_stat
         IS.iter (fun f -> if f >= 0 && f < n_facts then Bitset.add b f) s;
         Some b
     in
-    let comps = witness_components n_facts bsets in
+    let comps = component_cutoffs n_facts cutoff (witness_components n_facts bsets) in
     let solve_one = solve_component ?pool ?seed ?lp_state ~cancel ~lp n_facts in
     let results =
       match (pool, comps) with
@@ -432,7 +457,7 @@ type outcome =
   | Complete of Solution.t
   | Interrupted of { incumbent : Solution.t; lb : int }
 
-let solve_witnesses ?cancel ?lp ?pool ?seed ?lp_state ~exogenous witness_sets =
+let solve_witnesses ?cancel ?lp ?pool ?seed ?lp_state ?cutoff ~exogenous witness_sets =
   match instance ~exogenous witness_sets with
   | None -> Complete Solution.Unbreakable
   | Some (sets, facts_rev, fact_ids) ->
@@ -455,7 +480,7 @@ let solve_witnesses ?cancel ?lp ?pool ?seed ?lp_state ~exogenous witness_sets =
       Solution.Finite
         (value, List.map (Hashtbl.find facts_rev) (List.sort_uniq compare chosen))
     in
-    (match solve_hitting_set ?cancel ?lp ?pool ?seed ?lp_state sets with
+    (match solve_hitting_set ?cancel ?lp ?pool ?seed ?lp_state ?cutoff sets with
      | `Complete r -> Complete (finish r)
      | `Interrupted (r, lb) -> Interrupted { incumbent = finish r; lb })
 

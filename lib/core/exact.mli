@@ -86,11 +86,19 @@ val solve_witnesses :
   ?pool:Res_exec.Executor.t ->
   ?seed:Database.fact list ->
   ?lp_state:int array option Atomic.t ->
+  ?cutoff:int ->
   exogenous:(Database.fact -> bool) ->
   Database.Fact_set.t list ->
   outcome
 (** The search behind {!resilience_bounded}, over enumerated witness
-    fact sets and a per-fact exogeneity predicate. *)
+    fact sets and a per-fact exogeneity predicate.
+
+    [?cutoff:c] searches only for covers smaller than [c]: a [Complete s]
+    is then exact when ρ < c, and otherwise a genuine contingency set of
+    size ≥ c (the search proved nothing smaller exists below [c]).  Each
+    witness component gets the share of [c] left after the other
+    components' packing bounds, so the cut is sound across the split.
+    Without a cutoff the search is exactly the uncut one. *)
 
 (** {2 Search instrumentation}
 

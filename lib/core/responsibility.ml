@@ -36,17 +36,19 @@ let of_witnesses ?(cancel = Cancel.never) ?pool ~witnesses db q (t : Database.fa
     (* The t-free witnesses are exactly the witnesses of D − {t}: on a
        linear self-join-free query they are the s–t paths of [Flow]'s
        network, and a protected fact is one more uncuttable edge. *)
-    let resilience =
-      if Res_cq.Query.is_sj_free q && Linearity.linear_order q <> None then begin
-        let db_t = Database.remove db t in
-        fun protected ->
-          match Flow.solve_exn ~cancel ~fact_exogenous:(fun f -> FS.mem f protected) db_t q with
-          | s -> Solved s
-          | exception Cancel.Cancelled -> Stopped { ub = None; lb = 0 }
-      end
-      else fun protected ->
+    let flow = Res_cq.Query.is_sj_free q && Linearity.linear_order q <> None in
+    let db_t = if flow then Database.remove db t else db in
+    (* With [cutoff] the best survivor so far, a survivor that cannot beat
+       it answers some cover of size ≥ cutoff, which the minimum below
+       ignores. *)
+    let resilience ?cutoff protected =
+      if flow then
+        match Flow.solve_exn ~cancel ~fact_exogenous:(fun f -> FS.mem f protected) db_t q with
+        | s -> Solved s
+        | exception Cancel.Cancelled -> Stopped { ub = None; lb = 0 }
+      else
         match
-          Exact.solve_witnesses ~cancel ?pool
+          Exact.solve_witnesses ~cancel ?pool ?cutoff
             ~exogenous:(fun f -> exogenous f || FS.mem f protected)
             without_t
         with
@@ -64,8 +66,11 @@ let of_witnesses ?(cancel = Cancel.never) ?pool ~witnesses db q (t : Database.fa
         | [] -> Complete best
         | _ when best = Some l -> Complete best
         | _ when Cancel.cancelled cancel -> Interrupted (Interval.of_bounds ~lb:l ~ub:best ())
+        | protected :: rest when FS.is_empty protected ->
+          (* a survivor that protects nothing is L's own subproblem *)
+          go (min_opt best (Some l)) rest
         | protected :: rest -> begin
-          match resilience protected with
+          match resilience ?cutoff:best protected with
           | Solved s -> go (min_opt best (Solution.value s)) rest
           | Stopped { ub; _ } -> Interrupted (Interval.of_bounds ~lb:l ~ub:(min_opt best ub) ())
         end

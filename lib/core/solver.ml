@@ -219,14 +219,16 @@ type bounded =
   | Done of Solution.t * trace list
   | Timeout of Res_bounds.Interval.t
 
-let solve_bounded ?cancel ?pool db q =
-  let runs = List.map (fun c -> (c, run ?cancel ?pool db c)) (plan q) in
+let solve_plan ?cancel ?pool db components =
+  let runs = List.map (fun c -> (c, run ?cancel ?pool db c)) components in
   match combine (List.map (fun (_, (_, a)) -> a) runs) with
   | Interval iv -> Timeout iv
   | Value best ->
     Done (best, List.filter_map (function
       | c, (algorithm, Value solution) -> Some { component = c.query; algorithm; solution }
       | _, (_, Interval _) -> None) runs)
+
+let solve_bounded ?cancel ?pool db q = solve_plan ?cancel ?pool db (plan q)
 
 let solve_traced db q =
   match solve_bounded db q with

@@ -11,9 +11,13 @@
     instance has no such cover — still correct, just not guaranteed
     polynomial (DESIGN.md §7).
 
-    {!run} solves one planned component, {!combine} takes the minimum.
-    The incremental session ([lib/inc]) keeps the same plan: it maintains
-    the routes that have a dynamic twin and calls {!run} for the rest. *)
+    {!run} solves one planned component, {!combine} takes the minimum,
+    and {!solve_plan} does both for a whole plan.  A plan depends on the
+    query alone, so it can be built once and run on many databases: the
+    engine ([lib/engine]) keeps one per canonical query class and solves
+    each cache miss with {!solve_plan}.  The incremental session
+    ([lib/inc]) keeps the same plan: it maintains the routes that have a
+    dynamic twin and calls {!run} for the rest. *)
 
 open Res_db
 
@@ -127,6 +131,13 @@ val combine : answer list -> answer
 
 val interval_of_answer : answer -> Res_bounds.Interval.t
 (** A [Value] as the degenerate optimal interval; an [Interval] as itself. *)
+
+val solve_plan :
+  ?cancel:Cancel.t -> ?pool:Res_exec.Executor.t -> Database.t -> component list -> bounded
+(** {!solve_bounded} from a ready {!plan}: run every component, then
+    {!combine}.  [solve_bounded db q] is [solve_plan db (plan q)]; a
+    caller that solves many instances of one query (the engine's class
+    cache) plans once and calls this per instance. *)
 
 (** {2 The mirror symmetry}
 

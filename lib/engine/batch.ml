@@ -15,9 +15,21 @@ type outcome = {
   solve_cached : bool;
 }
 
+(* A canonical query class: the representative parsed once, its verdict,
+   and its component plan.  All three are built when the entry is
+   inserted, so a class shared by many threads is immutable from then on
+   (no lazy part is forced concurrently). *)
+type cls = { canonical : Query.t; verdict : Classify.verdict; plan : Solver.component list }
+
+type prepared =
+  | Plain of { query : Query.t; verdict : Classify.verdict }
+  | Keyed of { query : Query.t; keyed : Canon.keyed; cls : cls }
+
 type t = {
   cached : bool;
-  classify_cache : (string, Classify.verdict) Cache.t;
+  memo : (string, Canon.keyed) Cache.t;
+      (* the query's own structure → its canonical key and renaming *)
+  classes : (string, cls) Cache.t;  (* canonical key → class *)
   solve_cache : (string * string, Solution.t) Cache.t;
   resp_cache : (string * string, int option) Cache.t;
   stats : Stats.t;
@@ -30,7 +42,8 @@ type t = {
 let create ?(cached = true) ?(classify_capacity = 4096) ?(solve_capacity = 4096) () =
   {
     cached;
-    classify_cache = Cache.create ~capacity:classify_capacity ();
+    memo = Cache.create ~capacity:classify_capacity ();
+    classes = Cache.create ~capacity:classify_capacity ();
     solve_cache = Cache.create ~capacity:solve_capacity ();
     resp_cache = Cache.create ~capacity:solve_capacity ();
     stats = Stats.create ();
@@ -40,9 +53,9 @@ let create ?(cached = true) ?(classify_capacity = 4096) ?(solve_capacity = 4096)
 let stats t = t.stats
 
 (* Persistence hooks: the solve cache is the engine's durable state (the
-   classify cache rebuilds in microseconds from query text).  A listener
-   sees every optimal solution as it is inserted; seeding bypasses the
-   listener so log replay cannot echo. *)
+   memo and the class cache rebuild in microseconds from query text).  A
+   listener sees every optimal solution as it is inserted; seeding
+   bypasses the listener so log replay cannot echo. *)
 let on_solve_insert t f = Cache.set_on_insert t.solve_cache f
 let seed_solve t key sol = Cache.seed t.solve_cache key sol
 let solve_cache_stats t =
@@ -50,51 +63,95 @@ let solve_cache_stats t =
 
 let locked t f = Mutex.protect t.lock f
 
+(* Wall-clock time, the clock of the server's histograms (see stats.mli). *)
 let with_time f =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let r = f () in
-  (r, Sys.time () -. t0)
+  (r, Unix.gettimeofday () -. t0)
 
-(* Canonicalization is pure; only the time accounting needs the lock. *)
-let timed_canon t f =
-  let r, dt = with_time (fun () -> Obs.span ~cat:"engine" "canon" f) in
-  locked t (fun () -> t.stats.canon_time <- t.stats.canon_time +. dt);
-  r
+(* The memo key: the query's atoms in order plus its exogenous relations,
+   every name length-prefixed so the serialization is injective.  Equal
+   memo keys mean literally equal queries, hence equal [Canon.keyed]
+   results — building this costs far less than canonicalizing. *)
+let memo_key (q : Query.t) =
+  let b = Buffer.create 64 in
+  let name s =
+    Buffer.add_string b (string_of_int (String.length s));
+    Buffer.add_char b ':';
+    Buffer.add_string b s
+  in
+  List.iter
+    (fun (a : Atom.t) ->
+      name a.rel;
+      List.iter name a.args;
+      Buffer.add_char b ';')
+    q.atoms;
+  Buffer.add_char b '|';
+  Query.Sset.iter name q.exo;
+  Buffer.contents b
 
-let classify_keyed t (k : Canon.keyed) =
+(* [Canon.keyed], once per distinct query.  Two threads may race to the
+   same miss; both store the same value, so the duplicate work is
+   harmless. *)
+let keyed t q =
+  let mk = memo_key q in
   let hit =
     locked t (fun () ->
-        match Cache.find t.classify_cache k.key with
-        | Some v ->
-          t.stats.classify_hits <- t.stats.classify_hits + 1;
-          Some v
+        match Cache.find t.memo mk with
+        | Some k ->
+          t.stats.canon_hits <- t.stats.canon_hits + 1;
+          Some k
         | None -> None)
   in
   match hit with
-  | Some v -> v
+  | Some k -> k
   | None ->
-    let v, dt =
+    let k, dt = with_time (fun () -> Obs.span ~cat:"engine" "canon" (fun () -> Canon.keyed q)) in
+    locked t (fun () ->
+        t.stats.canon_misses <- t.stats.canon_misses + 1;
+        t.stats.canon_time <- t.stats.canon_time +. dt;
+        Cache.add t.memo mk k);
+    k
+
+let class_of t (k : Canon.keyed) =
+  let hit =
+    locked t (fun () ->
+        match Cache.find t.classes k.key with
+        | Some c ->
+          t.stats.classify_hits <- t.stats.classify_hits + 1;
+          Some c
+        | None -> None)
+  in
+  match hit with
+  | Some c -> c
+  | None ->
+    let c, dt =
       with_time (fun () ->
           Obs.span ~cat:"engine" "classify" (fun () ->
-              Classify.verdict_of (Canon.canonical_query k.key)))
+              let canonical = Canon.canonical_query k.key in
+              { canonical; verdict = Classify.verdict_of canonical; plan = Solver.plan canonical }))
     in
     locked t (fun () ->
         t.stats.classify_misses <- t.stats.classify_misses + 1;
         t.stats.classify_time <- t.stats.classify_time +. dt;
-        (* two threads may race to the same miss; both insertions store
-           the same verdict, so the duplicate work is harmless *)
-        Cache.add t.classify_cache k.key v);
-    v
+        Cache.add t.classes k.key c);
+    c
 
-let classify t q =
+let prepare t q =
   if not t.cached then begin
     let v, dt = with_time (fun () -> Classify.verdict_of q) in
     locked t (fun () ->
         t.stats.classify_misses <- t.stats.classify_misses + 1;
         t.stats.classify_time <- t.stats.classify_time +. dt);
-    v
+    Plain { query = q; verdict = v }
   end
-  else classify_keyed t (timed_canon t (fun () -> Canon.keyed q))
+  else
+    let keyed = keyed t q in
+    Keyed { query = q; keyed; cls = class_of t keyed }
+
+let verdict = function Plain p -> p.verdict | Keyed k -> k.cls.verdict
+let canon = function Plain _ -> None | Keyed k -> Some k.keyed
+let classify t q = verdict (prepare t q)
 
 type solve_outcome =
   | Solved of Solution.t * bool
@@ -113,12 +170,12 @@ let translate_interval_back k q iv =
   end
   | _ -> iv
 
-(* On a miss the *canonical* instance is solved, so the stored solution is
-   reusable by — and translatable back to — every instance of the class
-   with the same database digest.  A timed-out search is never cached:
-   its bound is not the exact answer, and a retry with a longer deadline
-   must not be poisoned by it. *)
-let solve_keyed_bounded t ?(cancel = Resilience.Cancel.never) ?pool (k : Canon.keyed) db q =
+(* On a miss the *canonical* instance is solved from the class's plan, so
+   the stored solution is reusable by — and translatable back to — every
+   instance of the class with the same database digest.  A timed-out
+   search is never cached: its bound is not the exact answer, and a retry
+   with a longer deadline must not be poisoned by it. *)
+let solve_keyed_bounded t ?(cancel = Resilience.Cancel.never) ?pool (k : Canon.keyed) cls db q =
   let dg, dt_dg = with_time (fun () -> Canon.instance_digest k q db) in
   let hit =
     locked t (fun () ->
@@ -135,8 +192,7 @@ let solve_keyed_bounded t ?(cancel = Resilience.Cancel.never) ?pool (k : Canon.k
     let res, dt =
       with_time (fun () ->
           Obs.span ~cat:"engine" "solve" (fun () ->
-              Solver.solve_bounded ~cancel ?pool (Canon.translate_db k q db)
-                (Canon.canonical_query k.key)))
+              Solver.solve_plan ~cancel ?pool (Canon.translate_db k q db) cls.plan))
     in
     (match res with
     | Solver.Done (sol, _) ->
@@ -151,27 +207,29 @@ let solve_keyed_bounded t ?(cancel = Resilience.Cancel.never) ?pool (k : Canon.k
           t.stats.solve_time <- t.stats.solve_time +. dt);
       Timed_out (translate_interval_back k q iv))
 
-let solve_keyed t k db q =
-  match solve_keyed_bounded t k db q with
-  | Solved (sol, cached) -> (sol, cached)
-  | Timed_out _ -> assert false (* Cancel.never cannot fire *)
+(* The uncached engine's path: no canonical key, the solver plans the
+   query itself. *)
+let solve_plain t ?cancel ?pool db q =
+  let res, dt = with_time (fun () -> Solver.solve_bounded ?cancel ?pool db q) in
+  match res with
+  | Solver.Done (sol, _) ->
+    locked t (fun () ->
+        t.stats.solve_misses <- t.stats.solve_misses + 1;
+        t.stats.solve_time <- t.stats.solve_time +. dt);
+    Solved (sol, false)
+  | Solver.Timeout iv ->
+    locked t (fun () ->
+        t.stats.solve_timeouts <- t.stats.solve_timeouts + 1;
+        t.stats.solve_time <- t.stats.solve_time +. dt);
+    Timed_out iv
+
+let solve_prepared t ?cancel ?pool db = function
+  | Plain { query; _ } -> solve_plain t ?cancel ?pool db query
+  | Keyed { query; keyed; cls } -> solve_keyed_bounded t ?cancel ?pool keyed cls db query
 
 let solve_bounded t ?cancel ?pool db q =
-  if not t.cached then begin
-    let res, dt = with_time (fun () -> Solver.solve_bounded ?cancel ?pool db q) in
-    match res with
-    | Solver.Done (sol, _) ->
-      locked t (fun () ->
-          t.stats.solve_misses <- t.stats.solve_misses + 1;
-          t.stats.solve_time <- t.stats.solve_time +. dt);
-      Solved (sol, false)
-    | Solver.Timeout iv ->
-      locked t (fun () ->
-          t.stats.solve_timeouts <- t.stats.solve_timeouts + 1;
-          t.stats.solve_time <- t.stats.solve_time +. dt);
-      Timed_out iv
-  end
-  else solve_keyed_bounded t ?cancel ?pool (timed_canon t (fun () -> Canon.keyed q)) db q
+  if not t.cached then solve_plain t ?cancel ?pool db q
+  else solve_prepared t ?cancel ?pool db (prepare t q)
 
 let solve t db q =
   match solve_bounded t db q with
@@ -192,7 +250,7 @@ let solve t db q =
 let solve_versioned t (vdb : Vdb.t) q =
   if not t.cached then (solve t (Vdb.db vdb) q, false)
   else begin
-    let k = timed_canon t (fun () -> Canon.keyed q) in
+    let k = keyed t q in
     let rel_repr =
       String.concat ","
         (List.map (fun (a, b) -> a ^ ">" ^ b) (List.sort compare k.renaming.rel_map))
@@ -210,7 +268,7 @@ let solve_versioned t (vdb : Vdb.t) q =
     match hit with
     | Some sol -> (sol, true)
     | None -> begin
-      match solve_keyed_bounded t k (Vdb.db vdb) q with
+      match solve_keyed_bounded t k (class_of t k) (Vdb.db vdb) q with
       | Solved (sol, cached) ->
         locked t (fun () -> Cache.add t.solve_cache fast_key sol);
         (sol, cached)
@@ -224,21 +282,21 @@ let solve_versioned t (vdb : Vdb.t) q =
    The cached value is the minimum contingency size — an [int option] is
    invariant under the renaming, so no back-translation is needed on a
    hit.  As with solving, a timed-out answer is never cached. *)
-let responsibility_bounded t ?cancel ?pool db q (f : Database.fact) =
-  let miss db q f =
-    let r, dt =
-      with_time (fun () ->
-          Obs.span ~cat:"engine" "responsibility" (fun () ->
-              Responsibility.min_contingency_bounded ?cancel ?pool db q f))
-    in
-    locked t (fun () ->
-        t.stats.resp_misses <- t.stats.resp_misses + 1;
-        t.stats.resp_time <- t.stats.resp_time +. dt);
-    r
+let resp_miss t ?cancel ?pool db q f =
+  let r, dt =
+    with_time (fun () ->
+        Obs.span ~cat:"engine" "responsibility" (fun () ->
+            Responsibility.min_contingency_bounded ?cancel ?pool db q f))
   in
-  if not t.cached then (miss db q f, false)
-  else begin
-    let k = timed_canon t (fun () -> Canon.keyed q) in
+  locked t (fun () ->
+      t.stats.resp_misses <- t.stats.resp_misses + 1;
+      t.stats.resp_time <- t.stats.resp_time +. dt);
+  r
+
+let responsibility_prepared t ?cancel ?pool db p (f : Database.fact) =
+  match p with
+  | Plain { query; _ } -> (resp_miss t ?cancel ?pool db query f, false)
+  | Keyed { query = q; keyed = k; cls } -> begin
     match Canon.translate_fact k q f with
     | None -> (Responsibility.Complete None, false) (* relation absent from the query *)
     | Some cf ->
@@ -256,12 +314,16 @@ let responsibility_bounded t ?cancel ?pool db q (f : Database.fact) =
       match hit with
       | Some r -> (Responsibility.Complete r, true)
       | None ->
-        let r = miss (Canon.translate_db k q db) (Canon.canonical_query k.key) cf in
+        let r = resp_miss t ?cancel ?pool (Canon.translate_db k q db) cls.canonical cf in
         (match r with
         | Responsibility.Complete r -> locked t (fun () -> Cache.add t.resp_cache cache_key r)
         | Responsibility.Interrupted _ -> ());
         (r, false)
   end
+
+let responsibility_bounded t ?cancel ?pool db q f =
+  if not t.cached then (resp_miss t ?cancel ?pool db q f, false)
+  else responsibility_prepared t ?cancel ?pool db (prepare t q) f
 
 let responsibility t db q f =
   match responsibility_bounded t db q f with
@@ -270,43 +332,32 @@ let responsibility t db q f =
 
 let count_instance t = locked t (fun () -> t.stats.instances <- t.stats.instances + 1)
 
-let solve_item t (i, (inst : instance), keyed) =
-  match keyed with
-  | None ->
-    let verdict = classify t inst.query in
-    let solution = solve t inst.db inst.query in
-    (i, { label = inst.label; query = inst.query; key = ""; verdict; solution; solve_cached = false })
-  | Some k ->
-    let verdict = classify_keyed t k in
-    let solution, solve_cached = solve_keyed t k inst.db inst.query in
-    (i, { label = inst.label; query = inst.query; key = k.Canon.key; verdict; solution; solve_cached })
+let class_key = function Plain _ -> None | Keyed k -> Some k.keyed.Canon.key
+
+let solve_item t (i, (inst : instance), p) =
+  match solve_prepared t inst.db p with
+  | Solved (solution, solve_cached) ->
+    let key = Option.value ~default:"" (class_key p) in
+    (i, { label = inst.label; query = inst.query; key; verdict = verdict p; solution; solve_cached })
+  | Timed_out _ -> assert false (* Cancel.never cannot fire *)
 
 let run t ?pool instances =
-  let indexed = List.mapi (fun i (inst : instance) -> (i, inst)) instances in
-  let with_keys =
-    if not t.cached then List.map (fun (i, inst) -> (i, inst, None)) indexed
-    else
-      List.map
-        (fun (i, (inst : instance)) ->
-          (i, inst, Some (timed_canon t (fun () -> Canon.keyed inst.query))))
-        indexed
-  in
+  let with_keys = List.mapi (fun i (inst : instance) -> (i, inst, prepare t inst.query)) instances in
   (* group equivalence classes consecutively; stable, so equal keys keep
      input order *)
   let sorted =
     List.stable_sort
-      (fun (_, _, k1) (_, _, k2) ->
-        match (k1, k2) with
-        | Some a, Some b -> compare a.Canon.key b.Canon.key
+      (fun (_, _, p1) (_, _, p2) ->
+        match (class_key p1, class_key p2) with
+        | Some a, Some b -> compare a b
         | _ -> 0)
       with_keys
   in
-  let solve_one (i, (inst : instance), keyed) =
+  let solve_one ((_, (inst : instance), _) as item) =
     count_instance t;
     if Obs.enabled () then
-      Obs.span ~cat:"engine" "item" ~args:[ ("label", inst.label) ] (fun () ->
-          solve_item t (i, inst, keyed))
-    else solve_item t (i, inst, keyed)
+      Obs.span ~cat:"engine" "item" ~args:[ ("label", inst.label) ] (fun () -> solve_item t item)
+    else solve_item t item
   in
   (* Parallelism is per equivalence class, not per instance: within one
      class the first solve fills the cache the rest hit, so running a
@@ -315,10 +366,8 @@ let run t ?pool instances =
   let outcomes =
     match pool with
     | Some pool when Executor.jobs pool > 1 ->
-      let same_class a b =
-        match (a, b) with
-        | (_, _, Some k1), (_, _, Some k2) -> k1.Canon.key = k2.Canon.key
-        | _ -> false
+      let same_class (_, _, p1) (_, _, p2) =
+        match (class_key p1, class_key p2) with Some a, Some b -> a = b | _ -> false
       in
       let groups =
         List.fold_left

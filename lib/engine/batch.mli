@@ -1,13 +1,24 @@
 (** The batched solving engine.
 
-    Classification (Theorem 37) is per-{e query} while solving is
-    per-{e instance}; an engine amortizes both across a stream of
-    [(query, database)] instances.  Every query is reduced to its
-    {!Canon} key, so classification runs once per isomorphism class and
-    solutions are shared by instances whose canonical databases coincide.
-    Solving a cache miss happens on the {e canonical} instance — the
-    cached solution is valid for every member of the class and is mapped
-    back through the instance's own renaming on each hit. *)
+    Classification (Theorem 37) and the component plan are per-{e query}
+    while solving is per-{e instance}; an engine amortizes both across a
+    stream of [(query, database)] instances.  Three query-level lookups
+    come before any solve:
+
+    - the {e query memo}: the query's own atoms and exogenous relations →
+      its {!Canon.keyed} value (canonical key and renaming), so a query
+      seen before is not canonicalized again;
+    - the {e class cache}: canonical key → the class's canonical query
+      (parsed once), its verdict and its {!Resilience.Solver.plan}, all
+      built when the class is inserted;
+    - the solve cache: (canonical key, instance digest) → solution.
+
+    {!prepare} does the first two, once per request; the [*_prepared]
+    entry points then solve without canonicalizing or planning again.
+    Solving a cache miss happens on the {e canonical} instance, from the
+    class's plan — the cached solution is valid for every member of the
+    class and is mapped back through the instance's own renaming on each
+    hit.  Both query-level caches are bounded by [classify_capacity]. *)
 
 open Res_cq
 open Res_db
@@ -31,8 +42,24 @@ val create : ?cached:bool -> ?classify_capacity:int -> ?solve_capacity:int -> un
     to plain per-instance [Classify]/[Solver] calls — the baseline the
     cache benchmarks compare against. *)
 
+type prepared
+(** A query admitted into the engine: its canonical key and renaming and
+    its class (verdict and plan) — or, in an uncached engine, the query
+    and its verdict alone. *)
+
+val prepare : t -> Query.t -> prepared
+(** Look the query up in the memo and the class cache, canonicalizing and
+    planning only on a miss.  The server calls this once per request, at
+    admission, and hands the result to the worker. *)
+
+val verdict : prepared -> Classify.verdict
+
+val canon : prepared -> Canon.keyed option
+(** The canonical key and renaming; [None] in an uncached engine. *)
+
 val classify : t -> Query.t -> Classify.verdict
-(** Classification verdict of the query's isomorphism class. *)
+(** Classification verdict of the query's isomorphism class:
+    [verdict (prepare t q)]. *)
 
 val solve : t -> Database.t -> Query.t -> Solution.t
 (** ρ(D, q) with a minimum contingency set, via the caches. *)
@@ -77,8 +104,21 @@ val solve_bounded :
   Database.t ->
   Query.t ->
   solve_outcome
-(** [?pool] is forwarded to {!Resilience.Solver.solve_bounded}: a single
-    hard instance parallelizes its exact search across the executor. *)
+(** [solve_prepared t db (prepare t q)].  [?pool] is forwarded to the
+    solver: a single hard instance parallelizes its exact search across
+    the executor. *)
+
+val solve_prepared :
+  t ->
+  ?cancel:Resilience.Cancel.t ->
+  ?pool:Res_exec.Executor.t ->
+  Database.t ->
+  prepared ->
+  solve_outcome
+(** Solve an admitted query on a database: a solve-cache lookup, and on a
+    miss {!Resilience.Solver.solve_plan} on the canonical instance with
+    the class's plan.  An uncached engine runs
+    {!Resilience.Solver.solve_bounded} on the query as given. *)
 
 val responsibility_bounded :
   t ->
@@ -90,6 +130,16 @@ val responsibility_bounded :
   Responsibility.outcome * bool
 (** {!responsibility} under a deadline; an [Interrupted] answer is never
     cached. *)
+
+val responsibility_prepared :
+  t ->
+  ?cancel:Resilience.Cancel.t ->
+  ?pool:Res_exec.Executor.t ->
+  Database.t ->
+  prepared ->
+  Database.fact ->
+  Responsibility.outcome * bool
+(** {!responsibility_bounded} for an admitted query. *)
 
 val run : t -> ?pool:Res_exec.Executor.t -> instance list -> outcome list
 (** Process a batch: instances are sorted by canonical key (stable), so

@@ -1,5 +1,7 @@
 type t = {
   mutable instances : int;
+  mutable canon_hits : int;
+  mutable canon_misses : int;
   mutable classify_hits : int;
   mutable classify_misses : int;
   mutable solve_hits : int;
@@ -19,6 +21,8 @@ let src = Logs.Src.create "resilience.engine" ~doc:"Batched resilience engine"
 let create () =
   {
     instances = 0;
+    canon_hits = 0;
+    canon_misses = 0;
     classify_hits = 0;
     classify_misses = 0;
     solve_hits = 0;
@@ -35,6 +39,8 @@ let create () =
 
 let reset s =
   s.instances <- 0;
+  s.canon_hits <- 0;
+  s.canon_misses <- 0;
   s.classify_hits <- 0;
   s.classify_misses <- 0;
   s.solve_hits <- 0;
@@ -48,16 +54,11 @@ let reset s =
   s.solve_time <- 0.;
   s.resp_time <- 0.
 
-let timed s get set f =
-  let t0 = Sys.time () in
-  let r = f () in
-  set s (get s +. (Sys.time () -. t0));
-  r
-
 let rate hits misses =
   let total = hits + misses in
   if total = 0 then 0. else float_of_int hits /. float_of_int total
 
+let canon_hit_rate s = rate s.canon_hits s.canon_misses
 let classify_hit_rate s = rate s.classify_hits s.classify_misses
 let solve_hit_rate s = rate s.solve_hits s.solve_misses
 let resp_hit_rate s = rate s.resp_hits s.resp_misses
@@ -69,11 +70,14 @@ let pp ppf s =
   Fmt.pf ppf
     "@[<v>engine stats:@,\
     \  instances          %d@,\
+    \  query memo         %d hits / %d misses (%.0f%% hit rate)@,\
     \  classify cache     %d hits / %d misses (%.0f%% hit rate)@,\
     \  solution cache     %d hits / %d misses (%.0f%% hit rate)@,\
     \  solve timeouts     %d@,\
     \  time: canon %.4fs, digest %.4fs, classify %.4fs, solve %.4fs@]"
-    s.instances s.classify_hits s.classify_misses
+    s.instances s.canon_hits s.canon_misses
+    (100. *. canon_hit_rate s)
+    s.classify_hits s.classify_misses
     (100. *. classify_hit_rate s)
     s.solve_hits s.solve_misses
     (100. *. solve_hit_rate s)

@@ -130,15 +130,19 @@ let deadline_of t ?lane timeout_ms =
   let ms = match timeout_ms with Some _ as s -> s | None -> default in
   Option.map (fun ms -> now () +. (float_of_int ms /. 1000.)) ms
 
-(* Classify-first admission: the lane of a request is the joint verdict
-   of its instances — cached canonical-key lookups, so this costs
-   microseconds on the connection thread before any queue slot is
-   consumed. *)
+(* Classify-first admission: each instance's query is prepared here, on
+   the connection thread before any queue slot is consumed — a memoized
+   lookup of its canonical key and class, so microseconds for a query
+   seen before.  The lane is the instances' joint verdict, and the
+   prepared queries travel with the job: the worker neither
+   canonicalizes nor plans again. *)
 let lane_for t instances =
-  Lanes.lane_of_verdicts
-    (List.map
-       (fun (inst : Res_engine.Batch.instance) -> Res_engine.Batch.classify t.engine inst.query)
-       instances)
+  let admitted =
+    List.map
+      (fun (inst : Res_engine.Batch.instance) -> (inst, Res_engine.Batch.prepare t.engine inst.query))
+      instances
+  in
+  (Lanes.lane_of_verdicts (List.map (fun (_, p) -> Res_engine.Batch.verdict p) admitted), admitted)
 
 let expired deadline = match deadline with Some d -> now () >= d | None -> false
 
@@ -147,10 +151,10 @@ let observe_gap t iv =
   | Some g -> Metrics.observe t.gap (float_of_int g)
   | None -> Metrics.observe t.gap infinity
 
-let solve_one t ~cancel ~deadline (inst : Res_engine.Batch.instance) =
+let solve_one t ~cancel ~deadline ((inst : Res_engine.Batch.instance), prepared) =
   let outcome =
     if expired deadline then Res_engine.Batch.Timed_out (Res_bounds.Interval.lower_only 0)
-    else Res_engine.Batch.solve_bounded t.engine ~cancel ?pool:t.exec inst.db inst.query
+    else Res_engine.Batch.solve_prepared t.engine ~cancel ?pool:t.exec inst.db prepared
   in
   (match outcome with
   | Res_engine.Batch.Timed_out iv -> observe_gap t iv
@@ -226,23 +230,23 @@ let submit_solve t ~kind ~timeout_ms body_lines =
     count t kind "error";
     Protocol.error "no instance given"
   | instances ->
-    let lane = lane_for t instances in
+    let lane, admitted = lane_for t instances in
     let deadline = deadline_of t ~lane timeout_ms in
-    submit_lane t ~kind ~lane (fun fill -> run_solve t ~kind ~deadline instances fill)
+    submit_lane t ~kind ~lane (fun fill -> run_solve t ~kind ~deadline admitted fill)
 
 (* The responsibility verb (v6): one fact against one instance.  Same
    classify-first admission and the same deadline semantics as solve: a
    request whose deadline fired in the queue, or mid-search, answers
    [timeout] with the bounds reached so far. *)
-let run_resp t ~deadline (inst : Res_engine.Batch.instance) fact fill =
+let run_resp t ~deadline ((inst : Res_engine.Batch.instance), prepared) fact fill =
   Obs.span ~cat:"server" "resp" @@ fun () ->
   let t0 = now () in
   let outcome =
     if expired deadline then
       (Resilience.Responsibility.Interrupted (Res_bounds.Interval.lower_only 0), false)
     else
-      Res_engine.Batch.responsibility_bounded t.engine ~cancel:(cancel_for t deadline)
-        ?pool:t.exec inst.db inst.query fact
+      Res_engine.Batch.responsibility_prepared t.engine ~cancel:(cancel_for t deadline)
+        ?pool:t.exec inst.db prepared fact
   in
   Metrics.observe t.resp_latency (now () -. t0);
   match outcome with
@@ -264,9 +268,9 @@ let submit_resp t ~timeout_ms ~fact_s body =
       count t "resp" "error";
       Protocol.error ("fact: " ^ msg)
     | fact ->
-      let lane = lane_for t [ inst ] in
+      let lane, admitted = lane_for t [ inst ] in
       let deadline = deadline_of t ~lane timeout_ms in
-      submit_lane t ~kind:"resp" ~lane (fun fill -> run_resp t ~deadline inst fact fill)
+      submit_lane t ~kind:"resp" ~lane (fun fill -> run_resp t ~deadline (List.hd admitted) fact fill)
   end
   | _ ->
     count t "resp" "error";
@@ -311,11 +315,11 @@ let execute_frame t request =
     count t "bulk" "error";
     Frame.encode_reply (Frame.Error "bulk: no instance given")
   | Ok (Frame.Bulk { timeout_ms; instances }) ->
-    let lane = lane_for t instances in
+    let lane, admitted = lane_for t instances in
     let deadline = deadline_of t ~lane timeout_ms in
     let frame_error msg = Frame.encode_reply (Frame.Error msg) in
     submit_lane ~busy:frame_error ~error:frame_error t ~kind:"bulk" ~lane (fun fill ->
-        run_bulk t ~deadline instances fill)
+        run_bulk t ~deadline admitted fill)
 
 (* --- the streaming (watch) tier ----------------------------------------- *)
 
@@ -364,7 +368,8 @@ let watch_register t ~timeout_ms body =
     count t "watch_register" "error";
     Protocol.error msg
   | [ inst ] ->
-    let lane = lane_for t [ inst ] in
+    (* the session plans in the user's vocabulary; admission fixes its lane *)
+    let lane, _ = lane_for t [ inst ] in
     submit_watch t ~kind:"watch_register" ~lane ~timeout_ms (fun ~deadline fill ->
         run_watch_register t ~lane ~deadline inst fill)
   | _ ->
@@ -500,6 +505,8 @@ let scrape t _ (c : Net.conn) =
 let register_engine_gauges metrics (engine : Res_engine.Batch.t) =
   let s = Res_engine.Batch.stats engine in
   let g name f = Metrics.gauge metrics name f in
+  g "engine.canon_hits" (fun () -> float_of_int s.Res_engine.Stats.canon_hits);
+  g "engine.canon_misses" (fun () -> float_of_int s.Res_engine.Stats.canon_misses);
   g "engine.classify_hits" (fun () -> float_of_int s.Res_engine.Stats.classify_hits);
   g "engine.classify_misses" (fun () -> float_of_int s.Res_engine.Stats.classify_misses);
   g "engine.solve_hits" (fun () -> float_of_int s.Res_engine.Stats.solve_hits);

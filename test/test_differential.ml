@@ -83,6 +83,36 @@ let prop_canon_key_invariant =
       Canon.key (rename_relations st q) = k
       && Canon.key (Query_iso.mirror q) = k)
 
+(* The query memo and the class cache must be invisible: for a random
+   query, a relation-renamed copy and its mirror, [prepare] — a memo miss,
+   then a hit — hands back exactly [Canon.keyed]'s key and renaming, and ρ
+   solved from the class's plan equals the plain solver's. *)
+let memo_engine = lazy (Engine.create ())
+
+let prop_memo_matches_canon =
+  QCheck.Test.make ~count:200
+    ~name:"engine: memoized key and renaming = Canon.keyed, rho = Solver.solve"
+    QCheck.(int_bound 10_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 41 |] in
+      let q = random_query st in
+      let eng = Lazy.force memo_engine in
+      List.for_all
+        (fun v ->
+          let expected = Canon.keyed v in
+          let db = Db_gen.random_for_query ~seed ~domain:3 ~tuples_per_relation:4 v in
+          let rho = Solution.value (Solver.solve db v) in
+          List.for_all
+            (fun _ ->
+              let p = Engine.prepare eng v in
+              if Engine.canon p <> Some expected then
+                QCheck.Test.fail_reportf "memoized key differs for %s" (Res_cq.Query.to_string v);
+              match Engine.solve_prepared eng db p with
+              | Engine.Solved (s, _) -> Solution.value s = rho
+              | Engine.Timed_out _ -> false)
+            [ 1; 2 ])
+        [ q; rename_relations st q; Query_iso.mirror q ])
+
 let prop_canon_key_sound =
   QCheck.Test.make ~count:300
     ~name:"canon: key parses back to an isomorphic-up-to-mirror representative"
@@ -201,6 +231,7 @@ let suite =
     Alcotest.test_case "cache: LRU eviction" `Quick cache_lru_evicts_oldest;
     QCheck_alcotest.to_alcotest prop_canon_key_invariant;
     QCheck_alcotest.to_alcotest prop_canon_key_sound;
+    QCheck_alcotest.to_alcotest prop_memo_matches_canon;
     QCheck_alcotest.to_alcotest prop_canon_distinguishes;
     QCheck_alcotest.to_alcotest prop_engine_differential;
   ]

@@ -291,6 +291,38 @@ let linear_responsibility_uses_flow () =
   check_bool "a cause" true (r <> None);
   Alcotest.(check int) "no exact node expanded at 10^3 facts" 0 (Exact.last_stats ()).nodes
 
+(* The survivor cutoff: [solve_witnesses ~cutoff:c] is exact whenever
+   ρ < c and otherwise answers a genuine cover of size ≥ c — on random
+   fragment instances, whose witness hypergraphs often split into several
+   components, for every cutoff from 0 to ρ + 1. *)
+let prop_exact_cutoff_sound =
+  QCheck.Test.make ~count:150
+    ~name:"exact: cutoff search exact below the cutoff, a genuine cover above"
+    QCheck.(int_bound 10_000_000)
+    (fun seed ->
+      let query = Generators.fragment_query seed in
+      let db = Generators.random_db ~seed ~domain:4 ~tuples_per_relation:4 query in
+      let exogenous (f : Database.fact) = Res_cq.Query.is_exogenous query f.rel in
+      let witnesses = Eval.witness_fact_sets db query in
+      match Exact.solve_witnesses ~exogenous witnesses with
+      | Exact.Complete (Solution.Finite (rho, _)) ->
+        List.for_all
+          (fun cutoff ->
+            match Exact.solve_witnesses ~cutoff ~exogenous witnesses with
+            | Exact.Complete (Solution.Finite (v, facts)) ->
+              let genuine =
+                List.length facts = v && Exact.is_contingency_set db query facts
+              in
+              if not genuine then QCheck.Test.fail_reportf "cutoff %d: not a cover" cutoff;
+              if rho < cutoff && v <> rho then
+                QCheck.Test.fail_reportf "cutoff %d: %d, optimum %d" cutoff v rho;
+              if rho >= cutoff && v < cutoff then
+                QCheck.Test.fail_reportf "cutoff %d: %d beats the optimum %d" cutoff v rho;
+              true
+            | _ -> QCheck.Test.fail_reportf "cutoff %d changed the outcome" cutoff)
+          (List.init (rho + 2) Fun.id)
+      | _ -> true)
+
 (* --- the Zoo golden regression ------------------------------------------- *)
 
 (* dune runtest runs with cwd = _build/default/test (where the (deps ...)
@@ -343,6 +375,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_responsibility_matches_definition;
     QCheck_alcotest.to_alcotest prop_engine_responsibility_cached_eq_uncached;
     QCheck_alcotest.to_alcotest prop_responsibility_interrupted_sound;
+    QCheck_alcotest.to_alcotest prop_exact_cutoff_sound;
     Alcotest.test_case "responsibility: linear sjf runs on flow" `Quick
       linear_responsibility_uses_flow;
   ]

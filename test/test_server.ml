@@ -331,6 +331,42 @@ let server_basics () =
   Server.wait server;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
+(* Admission canonicalizes each distinct query once: identical solves,
+   a resp and a classify of one query cost one canonicalization between
+   them (the [engine.canon_*] gauges), and a relation-renamed copy costs
+   one more — then hits the solve cache of its class. *)
+let one_canon_per_query () =
+  let path = temp_socket_path () in
+  let server = Server.start { (Server.default_config (Net.Unix_socket path)) with workers = 2 } in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let fd, ic, oc = connect path in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) @@ fun () ->
+  let gauge name =
+    String.split_on_char ' ' (request ic oc "stats")
+    |> List.find_map (fun kv ->
+           match String.split_on_char '=' kv with
+           | [ k; v ] when k = name -> Some (int_of_string v)
+           | _ -> None)
+    |> Option.get
+  in
+  let n = 5 in
+  for i = 1 to n do
+    Alcotest.(check string) "solve"
+      ("ok rho=1 set={A(1)}" ^ if i > 1 then " cached" else "")
+      (request ic oc "solve A(x), R(x,y), R(y,x) | A(1); R(1,2); R(2,1)")
+  done;
+  Alcotest.(check bool) "resp" true
+    (starts_with "ok " (request ic oc "resp R(1,2) | A(x), R(x,y), R(y,x) | A(1); R(1,2); R(2,1)"));
+  Alcotest.(check bool) "classify" true
+    (starts_with "ok PTIME" (request ic oc "classify A(x), R(x,y), R(y,x)"));
+  Alcotest.(check int) "one canonicalization" 1 (gauge "engine.canon_misses");
+  Alcotest.(check int) "every other admission a memo hit" (n + 1) (gauge "engine.canon_hits");
+  Alcotest.(check string) "renamed copy served from its class's cache entry"
+    "ok rho=1 set={B(1)} cached"
+    (request ic oc "solve B(x), S(x,y), S(y,x) | B(1); S(1,2); S(2,1)");
+  Alcotest.(check int) "the renamed copy costs one more" 2 (gauge "engine.canon_misses");
+  Alcotest.(check int) "still one class" 1 (gauge "engine.classify_misses")
+
 (* A dense random 2-chain instance: the query class is NP-complete
    (Props 29/30/38) and at this density the branch-and-bound runs for
    tens of seconds uninterrupted — any [ok] answer before the deadline
@@ -748,6 +784,7 @@ let suite =
     Alcotest.test_case "gadget: interruption monotone + sound" `Quick gadget_interruption_monotone;
     Alcotest.test_case "cancel: the token stops the cover polish" `Quick polish_stops_at_the_token;
     Alcotest.test_case "server: basics over a socket" `Quick server_basics;
+    Alcotest.test_case "server: one canonicalization per distinct query" `Quick one_canon_per_query;
     Alcotest.test_case "server: concurrent flood with deadlines" `Slow flood;
     Alcotest.test_case "server: shutdown drains watchers" `Quick shutdown_drains_watchers;
     Alcotest.test_case "server: protocol shutdown" `Quick protocol_shutdown;
