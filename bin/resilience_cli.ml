@@ -584,14 +584,15 @@ let client_cmd =
     in
     (* Requests without an instance (ping, stats, quit...) ride to the
        shard of the empty key — one fixed member of the fleet. *)
+    let memo = Res_engine.Query_memo.create () in
     let key_of_line line =
       match Res_server.Protocol.parse line with
       | Ok (Res_server.Protocol.Solve { body; _ })
       | Ok (Res_server.Protocol.Resp { body; _ })
       | Ok (Res_server.Protocol.Watch_register { body; _ }) ->
-        Res_shard.Router.routing_key body
-      | Ok (Res_server.Protocol.Classify q_s) -> Res_shard.Router.routing_key q_s
-      | Ok (Res_server.Protocol.Batch { bodies = b :: _; _ }) -> Res_shard.Router.routing_key b
+        Res_shard.Router.routing_key memo body
+      | Ok (Res_server.Protocol.Classify q_s) -> Res_shard.Router.routing_key memo q_s
+      | Ok (Res_server.Protocol.Batch { bodies = b :: _; _ }) -> Res_shard.Router.routing_key memo b
       | _ -> ""
     in
     let valid_first_line r =
@@ -642,7 +643,7 @@ let client_cmd =
       let key =
         match instances with
         | (inst : Res_engine.Batch.instance) :: _ ->
-          Res_shard.Router.routing_key
+          Res_shard.Router.routing_key memo
             (Format.asprintf "%a" Res_cq.Query.pp inst.query)
         | [] ->
           Printf.eprintf "%s: no instances\n" file;

@@ -11,39 +11,45 @@ type t = {
   dsts : int array;
 }
 
-(* Row entries are packed [(value lsl 31) lor tid] so each row sorts as
-   plain ints — primary key the neighbour value, and since (src, dst)
-   pairs are unique the tid tiebreak never fires. *)
-let shift = 31
-let mask = (1 lsl shift) - 1
-
-(* One direction: counting sort into rows by [key], then an in-place
-   per-row sort of the packed (value, tid) entries. *)
-let index ~n ~m edges key value =
-  let ptr = Array.make (n + 1) 0 in
-  Array.iter (fun e -> ptr.(key e + 1) <- ptr.(key e + 1) + 1) edges;
-  for i = 0 to n - 1 do
-    ptr.(i + 1) <- ptr.(i + 1) + ptr.(i)
-  done;
-  let pos = Array.copy ptr in
-  let packed = Array.make m 0 in
+(* Prefix offsets of a counting sort: [off.(b)] is the first slot of
+   bucket [b] in [0 .. n-1]. *)
+let offsets ~n edges bucket =
+  let off = Array.make (n + 1) 0 in
   Array.iter
     (fun e ->
-      let k = key e in
-      let _, _, tid = e in
-      packed.(pos.(k)) <- (value e lsl shift) lor tid;
-      pos.(k) <- pos.(k) + 1)
+      let b = bucket e + 1 in
+      off.(b) <- off.(b) + 1)
     edges;
-  for r = 0 to n - 1 do
-    let lo = ptr.(r) and len = ptr.(r + 1) - ptr.(r) in
-    if len > 1 then begin
-      let seg = Array.sub packed lo len in
-      Array.sort Int.compare seg;
-      Array.blit seg 0 packed lo len
-    end
+  for i = 0 to n - 1 do
+    off.(i + 1) <- off.(i + 1) + off.(i)
   done;
-  let vals = Array.map (fun p -> p lsr shift) packed in
-  let tids = Array.map (fun p -> p land mask) packed in
+  off
+
+(* One direction as two stable counting passes, an LSD sort with base
+   [n]: edge indexes ordered by [value], then stably scattered into
+   rows by [key].  Every row comes out sorted by value — strictly,
+   since (src, dst) pairs are unique — in O(n + m), with no per-row
+   sort. *)
+let index ~n ~m edges key value =
+  let by_value = Array.make m 0 in
+  let pos = offsets ~n edges value in
+  Array.iteri
+    (fun i e ->
+      let v = value e in
+      by_value.(pos.(v)) <- i;
+      pos.(v) <- pos.(v) + 1)
+    edges;
+  let ptr = offsets ~n edges key in
+  let pos = Array.sub ptr 0 n in
+  let vals = Array.make m 0 and tids = Array.make m 0 in
+  Array.iter
+    (fun i ->
+      let ((_, _, tid) as e) = edges.(i) in
+      let k = key e in
+      vals.(pos.(k)) <- value e;
+      tids.(pos.(k)) <- tid;
+      pos.(k) <- pos.(k) + 1)
+    by_value;
   (ptr, vals, tids)
 
 let nonempty_rows ptr n =
@@ -61,12 +67,16 @@ let nonempty_rows ptr n =
   done;
   out
 
+(* Ids and tuple ids stay below 2^31 so callers can pack them two to an
+   int (the kernel builders' keys). *)
+let limit = 1 lsl 31
+
 let build_dirs ~fwd ~rev ~n edges =
-  if n >= 1 lsl shift then invalid_arg "Csr.build: node id space exceeds 31 bits";
+  if n >= limit then invalid_arg "Csr.build: node id space exceeds 31 bits";
   Array.iter
     (fun (s, d, tid) ->
       if s < 0 || s >= n || d < 0 || d >= n then invalid_arg "Csr.build: id out of range";
-      if tid < 0 || tid > mask then invalid_arg "Csr.build: tuple id exceeds 31 bits")
+      if tid < 0 || tid >= limit then invalid_arg "Csr.build: tuple id exceeds 31 bits")
     edges;
   let m = Array.length edges in
   let fwd_ptr, fwd_dst, fwd_tid =

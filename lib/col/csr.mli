@@ -7,7 +7,9 @@
     levels of a worst-case-optimal join: [succ]/[pred] are the level-2
     iterators given a bound level-1 value, and [srcs]/[dsts] are the
     level-1 frontiers.  Edge membership is an [O(log deg)] binary
-    search.
+    search.  Each direction is built by two stable counting passes (by
+    neighbour, then by row), so rows come out sorted in [O(n + m)]
+    with no per-row sort.
 
     Construction is input-order independent: the same edge {e set}
     always produces byte-identical arrays, whatever order the edges

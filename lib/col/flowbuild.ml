@@ -25,48 +25,38 @@ type t = {
 
 let infinite = Maxflow.infinite
 
-(* Sort-based renumbering of one boundary: the distinct keys of the
-   adjacent layers' facing key vectors, sorted ascending; a key's node
-   id is its rank (plus the boundary's base offset).  No hash table, no
-   boxed keys — one sort and binary searches. *)
-let renumber left right =
-  let nl = Array.length left and nr = Array.length right in
-  let all = Array.make (nl + nr) 0 in
-  Array.blit left 0 all 0 nl;
-  Array.blit right 0 all nl nr;
-  Array.sort Int.compare all;
-  let n = Array.length all in
-  if n = 0 then [||]
-  else begin
-    let distinct = ref 1 in
-    for i = 1 to n - 1 do
-      if all.(i) <> all.(i - 1) then incr distinct
-    done;
-    let uniq = Array.make !distinct all.(0) in
-    let k = ref 0 in
-    for i = 1 to n - 1 do
-      if all.(i) <> all.(i - 1) then begin
-        incr k;
-        uniq.(!k) <- all.(i)
-      end
-    done;
-    uniq
+(* The rank of a boundary key.  Keys below 2^31 are bare ids (or pairs
+   whose first id is 0), all smaller than the dictionary size, so they
+   rank through a dense id -> rank table; packed two-variable keys rank
+   by binary search.  Keys come from the vectors the boundary was
+   renumbered from, so every lookup hits. *)
+let ranker uniq =
+  let n = Array.length uniq in
+  if n = 0 then fun _ -> assert false
+  else if uniq.(n - 1) < 1 lsl 31 then begin
+    let ranks = Sorted.dense_ranks uniq in
+    fun key ->
+      let i = ranks.(key) in
+      assert (i >= 0);
+      i
   end
-
-let rank uniq key =
-  let i = Sorted.lower_bound uniq 0 (Array.length uniq) key in
-  (* keys come from the vectors the boundary was renumbered from *)
-  assert (i < Array.length uniq && uniq.(i) = key);
-  i
+  else fun key ->
+    let i = Sorted.lower_bound uniq 0 n key in
+    assert (i < n && uniq.(i) = key);
+    i
 
 let build ?(guard = fun () -> ()) layers =
   let m = Array.length layers in
-  (* boundary p (1..m-1): keys of layer p-1's dst side and layer p's src *)
+  (* Sort-based renumbering of boundary p (1..m-1): the distinct keys of
+     layer p-1's dst side and layer p's src side, sorted ascending; a
+     key's node id is its rank plus the boundary's base offset.  No hash
+     table, no boxed keys — one integer sort per boundary. *)
   let uniq =
     Array.init (m + 1) (fun p ->
         if p = 0 || p = m then [||]
-        else renumber layers.(p - 1).dst_keys layers.(p).src_keys)
+        else Sorted.sort_uniq (Array.append layers.(p - 1).dst_keys layers.(p).src_keys))
   in
+  let rank = Array.map ranker uniq in
   let base = Array.make (m + 1) 2 in
   for p = 1 to m do
     base.(p) <- base.(p - 1) + Array.length uniq.(p - 1)
@@ -85,8 +75,8 @@ let build ?(guard = fun () -> ()) layers =
     let k = Array.length l.tids in
     for i = 0 to k - 1 do
       if i land 4095 = 0 then guard ();
-      let src = if p = 0 then source else base.(p) + rank uniq.(p) l.src_keys.(i) in
-      let dst = if p = m - 1 then sink else base.(p + 1) + rank uniq.(p + 1) l.dst_keys.(i) in
+      let src = if p = 0 then source else base.(p) + rank.(p) l.src_keys.(i) in
+      let dst = if p = m - 1 then sink else base.(p + 1) + rank.(p + 1) l.dst_keys.(i) in
       let cap = if Bytes.get l.exo i = '\001' then Maxflow.infinite else 1 in
       let fwd = Maxflow.add_edge net ~src ~dst ~cap in
       assert (fwd = !next_arc);

@@ -6,7 +6,9 @@
     module is the interned-id replacement: each linear-order position
     arrives as a {!layer} of live tuple ids with {e packed int}
     boundary keys, node ids are assigned by {e sort-based renumbering}
-    of the facing key vectors (rank in the sorted distinct-key array —
+    of the facing key vectors ({!Sorted.sort_uniq}; a key's node is its
+    rank in the sorted distinct keys, looked up in a dense id -> rank
+    table for single-id keys and by binary search for packed pairs —
     no hash table, no polymorphic hashing), and arcs are laid out
     contiguously per layer so a min-cut arc maps back to its
     [(layer, tuple id)] by binary search over layer base offsets plus

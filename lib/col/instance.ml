@@ -247,10 +247,10 @@ let semijoin_pass t allowed scratch =
   !changed
 
 (* pack/sort/unpack a unary key column with its tuple ids; keys are
-   unique within a relation, so plain int sorting is total. *)
+   unique within a relation, so the integer sort orders them totally. *)
 let sorted_keys col live =
   let packed = Array.map (fun tid -> (col.(tid) lsl 31) lor tid) live in
-  Array.sort Int.compare packed;
+  Sorted.sort packed;
   let keys = Array.map (fun p -> p lsr 31) packed in
   let tids = Array.map (fun p -> p land ((1 lsl 31) - 1)) packed in
   I_keys { keys; tids }

@@ -4,9 +4,9 @@
 
     Every step runs on interned int columns: binary tuples pack into one
     int key ([(u lsl 31) lor v], ids < 2^31 by the dict budget),
-    distinct-key vectors come from one sort, and vertex ids are ranks in
-    the sorted arrays — the same sort-based renumbering scheme as
-    {!Flowbuild}.  Values are only materialized by the caller when
+    distinct-key vectors come from {!Sorted.sort_uniq}, and vertex ids
+    are ranks in the sorted arrays, looked up in dense id -> rank tables
+    — the same sort-based renumbering scheme as {!Flowbuild}.  Values are only materialized by the caller when
     emitting the final contingency facts. *)
 
 val pack : int -> int -> int

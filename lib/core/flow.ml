@@ -95,7 +95,7 @@ let solve_kernel ~cancel ~fact_exogenous view db q atoms bounds =
     let cut_facts = List.map (fun (f, _, _) -> f) with_facts in
     let contingency =
       Obs.span ~cat:"flow" "minimalize" @@ fun () ->
-      Tuning.minimalize ~cancel db q cut_facts
+      Tuning.minimalize ~cancel ~view db q cut_facts
     in
     (* map the kept facts back to tuple ids (both lists share the
        [compare_fact] order, so one linear merge suffices) and verify the

@@ -7,12 +7,13 @@ module Obs = Res_obs.Obs
    for small sets — the flow and König results are already optimal, the
    greedy pass just strips duplicate-edge artifacts), then check the
    result really falsifies the query.  The size gate lives in [Tuning].
-   The kernels pass their [view]: the check then replays the removals on
-   its already-interned columns instead of recompiling [db - minimal] —
-   at 10^6 tuples that re-intern + semijoin dominated the whole solve. *)
+   The kernels pass their [view]: minimalization enumerates witnesses on
+   it, and the check replays the removals on its already-interned
+   columns, instead of recompiling [db] and [db - minimal] — at 10^6
+   tuples that re-intern + semijoin dominated the whole solve. *)
 let finalize ?view db q facts =
   let minimal =
-    Obs.span ~cat:"special" "minimalize" @@ fun () -> Tuning.minimalize db q facts
+    Obs.span ~cat:"special" "minimalize" @@ fun () -> Tuning.minimalize ?view db q facts
   in
   assert (
     match view with
@@ -61,8 +62,8 @@ let one_way_tuples db r =
 (* The perm, A-perm and z3 templates have only unary and binary atoms,
    so their instances always compile to a columnar {!Eval.view}.  The
    graphs are built by {!Res_col.Matchbuild} on the interned int columns
-   — packed keys, one sort per vertex class, ranks as vertex ids — and
-   only the final contingency facts are materialized back through
+   — packed keys, linear-time integer sorts, dense ranks as vertex ids —
+   and only the final contingency facts are materialized back through
    [view_value]. *)
 
 let view_of db q =

@@ -34,7 +34,7 @@ let minimalize_greedy ?(cancel = Cancel.never) db q facts =
    list has structural duplicates — the [<>] filter in the greedy pass
    removes all copies at once, which the counting pass does not model —
    or when witness enumeration overflows its limit. *)
-let minimalize_counting ~cancel db q facts =
+let minimalize_counting ~cancel ?view db q facts =
   let module FS = Res_db.Database.Fact_set in
   let fact_arr = Array.of_list facts in
   let k = Array.length fact_arr in
@@ -46,7 +46,12 @@ let minimalize_counting ~cancel db q facts =
     fact_arr;
   if !duplicates then None
   else begin
-    match Res_db.Eval.witnesses ~limit:200_000 db q with
+    let enumerate () =
+      match view with
+      | Some view -> Res_db.Eval.view_witnesses ~limit:200_000 view
+      | None -> Res_db.Eval.witnesses ~limit:200_000 db q
+    in
+    match enumerate () with
     | exception Failure _ -> None
     | ws ->
       let nw = List.length ws in
@@ -91,10 +96,10 @@ let minimalize_counting ~cancel db q facts =
       end
   end
 
-let minimalize ?(cancel = Cancel.never) db q facts =
+let minimalize ?(cancel = Cancel.never) ?view db q facts =
   if List.length facts > minimalize_fact_cap || Res_db.Database.size db > minimalize_db_cap
   then facts
   else
-    match minimalize_counting ~cancel db q facts with
+    match minimalize_counting ~cancel ?view db q facts with
     | Some kept -> kept
     | None -> minimalize_greedy ~cancel db q facts

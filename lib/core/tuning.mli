@@ -5,6 +5,7 @@
 
 val minimalize :
   ?cancel:Cancel.t ->
+  ?view:Res_db.Eval.view ->
   Res_db.Database.t ->
   Res_cq.Query.t ->
   Res_db.Database.fact list ->
@@ -18,7 +19,10 @@ val minimalize :
     replaces the per-step [Eval.sat] call — same output, one enumeration
     instead of [|facts|] evaluations.  Falls back to the sat loop
     ({!minimalize_greedy}) when the candidate list contains structural
-    duplicates or witness enumeration overflows. *)
+    duplicates or witness enumeration overflows.
+
+    [view] must be [Eval.view db q]; the witnesses are then enumerated
+    on its columns instead of compiling [db] a second time. *)
 
 val minimalize_greedy :
   ?cancel:Cancel.t ->

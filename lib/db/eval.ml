@@ -101,11 +101,14 @@ exception Found
 
 (* ---- the columnar fast path -------------------------------------------- *)
 
-module VDict = Res_col.Dict.Make (struct
+(* Integer constants, the common case, intern through the dict's
+   open-addressing int table; other values hash structurally. *)
+module VDict = Res_col.Dict.Make_keyed (struct
   type t = Value.t
 
   let equal = Value.equal
   let hash = Value.hash
+  let int_key = function Value.Int n -> Some n | _ -> None
 end)
 
 type compiled = {
@@ -122,30 +125,38 @@ let compile db (q : Res_cq.Query.t) =
   if not (columnar_eligible q) then None
   else begin
     let module I = Res_col.Instance in
-    let dict = VDict.create ~hint:256 () in
-    let rels =
+    let dict, rels =
       Res_obs.Obs.span ~cat:"col" "intern" @@ fun () ->
-      List.map
-        (fun r ->
-          let ar = Res_cq.Query.arity_of q r in
-          let right, wrong =
-            List.partition (fun t -> List.length t = ar) (Database.tuples_of db r)
-          in
-          let arr = Array.of_list right in
-          let m = Array.length arr in
-          let col0 = Array.make m 0 in
-          let col1 = if ar = 2 then Array.make m 0 else [||] in
-          Array.iteri
-            (fun i t ->
-              match t with
-              | [ a ] -> col0.(i) <- VDict.intern dict a
-              | [ a; b ] ->
-                col0.(i) <- VDict.intern dict a;
-                col1.(i) <- VDict.intern dict b
-              | _ -> assert false)
-            arr;
-          (r, { I.arity = ar; col0; col1 }, arr, wrong))
-        (Res_cq.Query.relations q)
+      let parts =
+        List.map
+          (fun r ->
+            let ar = Res_cq.Query.arity_of q r in
+            let right, wrong =
+              List.partition (fun t -> List.length t = ar) (Database.tuples_of db r)
+            in
+            (r, ar, Array.of_list right, wrong))
+          (Res_cq.Query.relations q)
+      in
+      (* one value per tuple is the expected distinct count; the table
+         grows past it on demand *)
+      let hint = List.fold_left (fun n (_, _, arr, _) -> n + Array.length arr) 0 parts in
+      let dict = VDict.create ~hint () in
+      let intern (r, ar, arr, wrong) =
+        let m = Array.length arr in
+        let col0 = Array.make m 0 in
+        let col1 = if ar = 2 then Array.make m 0 else [||] in
+        Array.iteri
+          (fun i t ->
+            match t with
+            | [ a ] -> col0.(i) <- VDict.intern dict a
+            | [ a; b ] ->
+              col0.(i) <- VDict.intern dict a;
+              col1.(i) <- VDict.intern dict b
+            | _ -> assert false)
+          arr;
+        (r, { I.arity = ar; col0; col1 }, arr, wrong)
+      in
+      (dict, List.map intern parts)
     in
     let inst =
       Res_obs.Obs.span ~cat:"col" "build" @@ fun () ->
@@ -156,7 +167,7 @@ let compile db (q : Res_cq.Query.t) =
        semijoin fixpoint and index build entirely.  Paths that do need
        the reduction call [ensure_reduced] so the span still books the
        cost exactly once, where it is paid. *)
-    Some { dict; inst; rows = List.map (fun (r, d, arr, wrong) -> (r, d, arr, wrong)) rels }
+    Some { dict; inst; rows = rels }
   end
 
 let ensure_reduced (c : compiled) =
@@ -214,16 +225,18 @@ let backtracking_witnesses ?(limit = 2_000_000) db q =
   collect ~limit q (fun push ->
       enumerate db q ~emit:(fun subst -> push (List.map (fun v -> (v, Smap.find v subst)) vars)))
 
+let compiled_witnesses ~limit q c =
+  ensure_reduced c;
+  let vars = Res_cq.Query.vars q in
+  collect ~limit q (fun push ->
+      Res_obs.Obs.span ~cat:"col" "enumerate" @@ fun () ->
+      Res_col.Instance.enumerate c.inst ~emit:(fun b ->
+          push (List.mapi (fun i v -> (v, VDict.value c.dict b.(i))) vars)))
+
 let witnesses ?(limit = 2_000_000) db q =
   match compile db q with
   | None -> backtracking_witnesses ~limit db q
-  | Some c ->
-    ensure_reduced c;
-    let vars = Res_cq.Query.vars q in
-    collect ~limit q (fun push ->
-        Res_obs.Obs.span ~cat:"col" "enumerate" @@ fun () ->
-        Res_col.Instance.enumerate c.inst ~emit:(fun b ->
-            push (List.mapi (fun i v -> (v, VDict.value c.dict b.(i))) vars)))
+  | Some c -> compiled_witnesses ~limit q c
 
 let witness_fact_sets db q =
   let module FS = Set.Make (struct
@@ -269,6 +282,7 @@ type view = { c : compiled; q : Res_cq.Query.t }
 
 let view db q = Option.map (fun c -> { c; q }) (compile db q)
 
+let view_witnesses ?(limit = 2_000_000) v = compiled_witnesses ~limit v.q v.c
 let view_n v = VDict.size v.c.dict
 let view_value v id = VDict.value v.c.dict id
 

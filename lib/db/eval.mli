@@ -79,6 +79,10 @@ val view : Database.t -> Res_cq.Query.t -> view option
     it.  [None] exactly when the query is not columnar-eligible —
     callers then take their structural path. *)
 
+val view_witnesses : ?limit:int -> view -> witness list
+(** {!witnesses} of the instance the view was compiled from, enumerated
+    on its columns — no second compile. *)
+
 val view_n : view -> int
 (** Exclusive bound of the interned id space (the dict size, < 2^31). *)
 

@@ -27,8 +27,7 @@ type prepared =
 
 type t = {
   cached : bool;
-  memo : (string, Canon.keyed) Cache.t;
-      (* the query's own structure → its canonical key and renaming *)
+  memo : Query_memo.t;  (* the query's own structure → its canonical key and renaming *)
   classes : (string, cls) Cache.t;  (* canonical key → class *)
   solve_cache : (string * string, Solution.t) Cache.t;
   resp_cache : (string * string, int option) Cache.t;
@@ -42,7 +41,7 @@ type t = {
 let create ?(cached = true) ?(classify_capacity = 4096) ?(solve_capacity = 4096) () =
   {
     cached;
-    memo = Cache.create ~capacity:classify_capacity ();
+    memo = Query_memo.create ~capacity:classify_capacity ();
     classes = Cache.create ~capacity:classify_capacity ();
     solve_cache = Cache.create ~capacity:solve_capacity ();
     resp_cache = Cache.create ~capacity:solve_capacity ();
@@ -69,49 +68,16 @@ let with_time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* The memo key: the query's atoms in order plus its exogenous relations,
-   every name length-prefixed so the serialization is injective.  Equal
-   memo keys mean literally equal queries, hence equal [Canon.keyed]
-   results — building this costs far less than canonicalizing. *)
-let memo_key (q : Query.t) =
-  let b = Buffer.create 64 in
-  let name s =
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_char b ':';
-    Buffer.add_string b s
-  in
-  List.iter
-    (fun (a : Atom.t) ->
-      name a.rel;
-      List.iter name a.args;
-      Buffer.add_char b ';')
-    q.atoms;
-  Buffer.add_char b '|';
-  Query.Sset.iter name q.exo;
-  Buffer.contents b
-
-(* [Canon.keyed], once per distinct query.  Two threads may race to the
-   same miss; both store the same value, so the duplicate work is
-   harmless. *)
+(* [Canon.keyed], once per distinct query. *)
 let keyed t q =
-  let mk = memo_key q in
-  let hit =
-    locked t (fun () ->
-        match Cache.find t.memo mk with
-        | Some k ->
-          t.stats.canon_hits <- t.stats.canon_hits + 1;
-          Some k
-        | None -> None)
-  in
-  match hit with
-  | Some k -> k
-  | None ->
-    let k, dt = with_time (fun () -> Obs.span ~cat:"engine" "canon" (fun () -> Canon.keyed q)) in
-    locked t (fun () ->
+  let k, miss = Query_memo.keyed t.memo q in
+  locked t (fun () ->
+      match miss with
+      | None -> t.stats.canon_hits <- t.stats.canon_hits + 1
+      | Some dt ->
         t.stats.canon_misses <- t.stats.canon_misses + 1;
-        t.stats.canon_time <- t.stats.canon_time +. dt;
-        Cache.add t.memo mk k);
-    k
+        t.stats.canon_time <- t.stats.canon_time +. dt);
+  k
 
 let class_of t (k : Canon.keyed) =
   let hit =

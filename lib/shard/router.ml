@@ -50,6 +50,7 @@ type t = {
   peers : (string, peer) Hashtbl.t;
   metrics : Metrics.t;
   latency : Metrics.histogram;
+  memo : Res_engine.Query_memo.t;  (* routed query → its canonical key *)
   listener : Net.t;
   mutable health_thread : Thread.t option;
   watch_lock : Mutex.t;
@@ -199,18 +200,19 @@ let forward t ~key send =
   in
   over_peers ~respect_breakers:true ~skipped:[] ~last_err:None plan
 
+(* The canonical key of a query, canonicalized once per distinct query. *)
+let class_key memo q = (fst (Res_engine.Query_memo.keyed memo q)).Res_engine.Canon.key
+
 (* Routing key of a ["QUERY | FACTS"] body (or a bare query): the
    canonical key when the query parses — the whole renaming/mirror class
    shares a shard — and the trimmed text otherwise (the shard will
    answer the parse error; which shard does not matter). *)
-let routing_key body =
+let routing_key memo body =
   let q_s =
     match String.index_opt body '|' with Some i -> String.sub body 0 i | None -> body
   in
   let q_s = String.trim q_s in
-  match Res_cq.Parser.query_opt q_s with
-  | Ok q -> (Res_engine.Canon.keyed q).Res_engine.Canon.key
-  | Error _ -> q_s
+  match Res_cq.Parser.query_opt q_s with Ok q -> class_key memo q | Error _ -> q_s
 
 let starts_with prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
@@ -248,7 +250,7 @@ let group_by_owner t keyed_items =
   Hashtbl.fold (fun _ (key, items) acc -> (key, List.rev items) :: acc) groups []
 
 let forward_batch t cache ~timeout_ms bodies =
-  let keyed = List.mapi (fun i b -> (i, b, routing_key b)) bodies in
+  let keyed = List.mapi (fun i b -> (i, b, routing_key t.memo b)) bodies in
   let groups = group_by_owner t keyed in
   let results = Array.make (List.length bodies) None in
   let rec run = function
@@ -290,7 +292,7 @@ let forward_bulk t cache ~timeout_ms instances =
   let keyed =
     List.mapi
       (fun i (inst : Res_engine.Batch.instance) ->
-        (i, inst, (Res_engine.Canon.keyed inst.query).Res_engine.Canon.key))
+        (i, inst, class_key t.memo inst.query))
       instances
   in
   let groups = group_by_owner t keyed in
@@ -426,7 +428,7 @@ let execute t cache line =
     shutdown_shards t;
     Net.Shutdown (Protocol.ok "shutting down")
   | Ok (Protocol.Classify q_s) ->
-    let key = routing_key q_s in
+    let key = routing_key t.memo q_s in
     let r =
       match forward t ~key (fun peer -> send_text cache peer line) with
       | Ok reply -> reply
@@ -435,7 +437,7 @@ let execute t cache line =
     count_reply t "classify" r;
     Net.Reply r
   | Ok (Protocol.Solve { timeout_ms = _; body }) ->
-    let key = routing_key body in
+    let key = routing_key t.memo body in
     let r =
       match forward t ~key (fun peer -> send_text cache peer line) with
       | Ok reply -> reply
@@ -447,7 +449,7 @@ let execute t cache line =
     (* route by the instance body (the query class), not the fact: every
        responsibility question about one instance lands on the shard
        whose engine caches that instance's solutions *)
-    let key = routing_key body in
+    let key = routing_key t.memo body in
     let r =
       match forward t ~key (fun peer -> send_text cache peer line) with
       | Ok reply -> reply
@@ -462,7 +464,7 @@ let execute t cache line =
     count_reply t "batch" r;
     Net.Reply r
   | Ok (Protocol.Watch_register { timeout_ms = _; body }) ->
-    let key = routing_key body in
+    let key = routing_key t.memo body in
     let r =
       match
         forward t ~key (fun peer ->
@@ -575,6 +577,7 @@ let start cfg =
       peers;
       metrics;
       latency = Metrics.histogram metrics "latency.request";
+      memo = Res_engine.Query_memo.create ();
       listener = Net.listen ~cat:"router" cfg.address;
       health_thread = None;
       watch_lock = Mutex.create ();
@@ -588,6 +591,8 @@ let start cfg =
   Metrics.gauge metrics "watches.pinned" (fun () ->
       float_of_int (Mutex.protect t.watch_lock (fun () -> Hashtbl.length t.watches)));
   Metrics.gauge metrics "connections.active" (fun () -> float_of_int (Net.active t.listener));
+  Metrics.gauge metrics "router.canon_misses" (fun () ->
+      float_of_int (Res_engine.Query_memo.misses t.memo));
   if cfg.health_period_ms > 0 then t.health_thread <- Some (Thread.create health_loop t);
   Net.serve t.listener ~drain:(fun () -> drain t) (Net.lines ~latency:t.latency (handler t));
   Log.info (fun m ->

@@ -64,8 +64,10 @@ val metrics : t -> Res_server.Metrics.t
 val route_key : t -> string -> Res_server.Net.address option
 (** Where this canonical key currently routes (diagnostics). *)
 
-val routing_key : string -> string
+val routing_key : Res_engine.Query_memo.t -> string -> string
 (** The ring key of a ["QUERY | FACTS"] body (or bare query): the
     canonical {!Res_engine.Canon} key when the query parses, the trimmed
     query text otherwise.  Exposed so a client given the fleet directly
-    ([--fleet]) picks the same shard the router would. *)
+    ([--fleet]) picks the same shard the router would.  A query already
+    in [memo] is not canonicalized again; the router routes through its
+    own memo and reports its misses as the [router.canon_misses] gauge. *)

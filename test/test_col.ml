@@ -86,6 +86,120 @@ let prop_dict_roundtrip =
         keys ids;
       true)
 
+(* The intern table: integer values through the open-addressing int
+   table, the rest through [Hashtbl] — ids must be exactly those of the
+   all-[Hashtbl] reference on the same stream. *)
+module VKey = struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end
+
+module KDict = Res_col.Dict.Make_keyed (struct
+  include VKey
+
+  let int_key = function Value.Int n -> Some n | _ -> None
+end)
+
+module RDict = Res_col.Dict.Make (VKey)
+
+let value_stream =
+  let open QCheck.Gen in
+  let int_v =
+    oneof
+      [ map (fun n -> n - 50) (int_bound 100); oneofl [ min_int; max_int; 0; -1 ]; int ]
+  in
+  let leaf = oneof [ map Value.i int_v; map Value.s (oneofl [ "a"; "b"; "1"; "" ]) ] in
+  let value =
+    frequency
+      [
+        (6, leaf);
+        (1, map2 Value.pair leaf leaf);
+        (1, map2 Value.tag (oneofl [ "u"; "v" ]) leaf);
+      ]
+  in
+  list_size (oneof [ int_bound 20; int_range 200 2000 ]) value
+
+let prop_intern_table_ids =
+  QCheck.Test.make ~count:200 ~name:"dict: int-keyed intern table = Hashtbl reference ids"
+    (QCheck.make ~print:(fun l -> String.concat "; " (List.map Value.to_string l)) value_stream)
+    (fun vs ->
+      (* hint 1 forces the int table through its growth path *)
+      let k = KDict.create ~hint:1 () and r = RDict.create () in
+      List.iter
+        (fun v ->
+          if KDict.find_opt k v <> RDict.find_opt r v then QCheck.Test.fail_report "find_opt before intern";
+          if KDict.intern k v <> RDict.intern r v then QCheck.Test.fail_report "ids differ")
+        vs;
+      KDict.size k = RDict.size r
+      && List.for_all (fun i -> Value.equal (KDict.value k i) (RDict.value r i)) (List.init (KDict.size k) Fun.id))
+
+(* The integer sort against the stdlib on lengths either side of the
+   small-array cutoff (64) and up to a few thousand, over keys from all-equal to the packed maximum
+   [(2^31-1) lsl 31 lor (2^31-1)] (= max_int). *)
+let sort_keys =
+  let open QCheck.Gen in
+  let len = oneof [ int_bound 70; int_range 60 400; int_range 4000 4200 ] in
+  let key =
+    oneof
+      [
+        map (fun m -> fun x -> x land m) (oneofl [ 0; 1; 15; 2047; (1 lsl 31) - 1; max_int ]);
+        return (fun x -> ((x lsr 40) land 1023) lsl 31 lor (x land 1023));
+        return (fun x -> if x land 1 = 0 then max_int else (x lsr 1) land 7);
+      ]
+  in
+  len >>= fun n ->
+  key >>= fun f -> map (Array.map (fun x -> f (x land max_int))) (array_size (return n) int)
+
+let print_keys a = Printf.sprintf "[|%d keys: %s|]" (Array.length a)
+    (String.concat ";" (List.map string_of_int (List.filteri (fun i _ -> i < 20) (Array.to_list a))))
+
+let prop_sort_matches_stdlib =
+  QCheck.Test.make ~count:300 ~name:"sorted: radix sort = Array.sort, sort_uniq = List.sort_uniq"
+    (QCheck.make ~print:print_keys sort_keys)
+    (fun a ->
+      let input = Array.copy a in
+      let mine = Array.copy a and reference = Array.copy a in
+      Sorted.sort mine;
+      Array.sort Int.compare reference;
+      if mine <> reference then QCheck.Test.fail_report "sort differs";
+      let uniq = Sorted.sort_uniq a in
+      if a <> input then QCheck.Test.fail_report "sort_uniq modified its argument";
+      uniq = Array.of_list (List.sort_uniq Int.compare (Array.to_list a)))
+
+let sort_edge_cases () =
+  let check name a =
+    let mine = Array.copy a and reference = Array.copy a in
+    Sorted.sort mine;
+    Array.sort Int.compare reference;
+    Alcotest.(check (array int)) name reference mine;
+    Alcotest.(check (array int)) (name ^ " uniq")
+      (Array.of_list (List.sort_uniq Int.compare (Array.to_list a))) (Sorted.sort_uniq a)
+  in
+  check "empty" [||];
+  check "single" [| max_int |];
+  check "duplicates below cutoff" (Array.make 10 7);
+  check "duplicates above cutoff" (Array.init 500 (fun i -> i mod 3));
+  check "packed extremes" (Array.init 300 (fun i -> if i mod 2 = 0 then max_int else 299 - i));
+  Alcotest.check_raises "negative key" (Invalid_argument "Sorted.sort: negative key") (fun () ->
+      Sorted.sort [| 3; -1; 2 |]);
+  Alcotest.check_raises "negative key, radix path" (Invalid_argument "Sorted.sort: negative key")
+    (fun () -> Sorted.sort (Array.init 100 (fun i -> if i = 50 then min_int else i)))
+
+let prop_dense_rank =
+  QCheck.Test.make ~count:200 ~name:"sorted: dense rank = lower_bound rank"
+    QCheck.(small_list (int_bound 500))
+    (fun l ->
+      let sorted = Sorted.sort_uniq (Array.of_list l) in
+      let ranks = Sorted.dense_ranks sorted in
+      let n = Array.length sorted in
+      List.for_all
+        (fun x ->
+          let i = Sorted.lower_bound sorted 0 n x in
+          Sorted.dense_rank ranks x = if i < n && sorted.(i) = x then i else -1)
+        (List.init 510 (fun x -> x - 2)))
+
 let sorted_of_list l = Sorted.of_list l
 
 let prop_gallop_vs_naive =
@@ -153,6 +267,39 @@ let prop_csr_mem_tid =
               Csr.mem c u v = Option.is_some expected && Csr.tid_of c u v = expected)
             (List.init 16 Fun.id))
         (List.init 16 Fun.id))
+
+(* Rows come out of two counting passes; the reference is the per-row
+   sort of (neighbour, tuple id) the earlier build ran. *)
+let prop_csr_rows_sorted =
+  QCheck.Test.make ~count:200 ~name:"csr: rows strictly sorted, equal to a per-row sort"
+    QCheck.(pair (int_range 1 80) (list_of_size (Gen.int_bound 600) (pair small_nat small_nat)))
+    (fun (n, pairs) ->
+      let edges =
+        List.sort_uniq compare (List.map (fun (u, v) -> (u mod n, v mod n)) pairs)
+        |> List.mapi (fun i (u, v) -> (u, v, 3 * i))
+      in
+      let c = Csr.build ~n (Array.of_list edges) in
+      let row dir x =
+        List.filter_map
+          (fun (u, v, tid) ->
+            match dir with
+            | `Fwd -> if u = x then Some (v, tid) else None
+            | `Rev -> if v = x then Some (u, tid) else None)
+          edges
+        |> List.sort compare
+      in
+      List.for_all
+        (fun x ->
+          let got slice tid_at =
+            let a = Sorted.to_array slice in
+            Array.to_list (Array.mapi (fun i v -> (v, tid_at i)) a)
+          in
+          let s = Csr.succ c x and p = Csr.pred c x in
+          Sorted.is_strictly_sorted (Sorted.to_array s)
+          && Sorted.is_strictly_sorted (Sorted.to_array p)
+          && got s (Csr.succ_tid c x) = row `Fwd x
+          && got p (Csr.pred_tid c x) = row `Rev x)
+        (List.init n Fun.id))
 
 (* --- witness-level differential ------------------------------------------ *)
 
@@ -340,10 +487,15 @@ let columnar_scales () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_dict_roundtrip;
+    QCheck_alcotest.to_alcotest prop_intern_table_ids;
+    QCheck_alcotest.to_alcotest prop_sort_matches_stdlib;
+    Alcotest.test_case "sorted: sort edge cases" `Quick sort_edge_cases;
+    QCheck_alcotest.to_alcotest prop_dense_rank;
     QCheck_alcotest.to_alcotest prop_gallop_vs_naive;
     QCheck_alcotest.to_alcotest prop_inter_many;
     QCheck_alcotest.to_alcotest prop_csr_shuffle_deterministic;
     QCheck_alcotest.to_alcotest prop_csr_mem_tid;
+    QCheck_alcotest.to_alcotest prop_csr_rows_sorted;
     QCheck_alcotest.to_alcotest prop_witness_differential;
     QCheck_alcotest.to_alcotest prop_reduce_sound;
     QCheck_alcotest.to_alcotest prop_solver_differential_pool;

@@ -322,6 +322,44 @@ let adversarial_duplicates_and_arity () =
   let s = against_exact "dup" db q (fun db q -> Special.solve_perm ~r:"R" db q) in
   Alcotest.(check (option int)) "pair {1,2} and loop {3}" (Some 2) (Solution.value s)
 
+(* A kernel solve compiles its instance once: minimalization enumerates
+   witnesses on the kernel's view instead of interning the database a
+   second time.  Counted as [col/intern] span openings with tracing on,
+   on instances small enough that minimalization runs. *)
+let kernel_compiles_once () =
+  let module Obs = Res_obs.Obs in
+  let interns f =
+    let saved = Obs.enabled () in
+    Obs.set_enabled true;
+    Obs.clear ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled saved;
+        Obs.clear ())
+      (fun () ->
+        ignore (f ());
+        List.fold_left
+          (fun n (d : Obs.dump) ->
+            n
+            + List.length
+                (List.filter
+                   (fun (e : Res_obs.Event.t) ->
+                     e.phase = Res_obs.Event.Begin && e.cat = "col" && e.name = "intern")
+                   d.events))
+          0 (Obs.drain ()))
+  in
+  let perm = qp "R(x,y), R(y,x)" in
+  let db = Database.of_int_rows [ ("R", [ [ 1; 2 ]; [ 2; 1 ]; [ 3; 4 ]; [ 4; 3 ]; [ 5; 5 ]; [ 5; 6 ] ]) ] in
+  Alcotest.(check int) "perm solve: one col/intern" 1
+    (interns (fun () -> Special.solve_perm ~r:"R" db perm));
+  let linear = qp "A(x), R(x,y), B(y)" in
+  let db =
+    Database.of_int_rows
+      [ ("A", [ [ 1 ]; [ 2 ] ]); ("R", [ [ 1; 3 ]; [ 2; 3 ]; [ 2; 4 ] ]); ("B", [ [ 3 ]; [ 4 ] ]) ]
+  in
+  Alcotest.(check int) "linear flow solve: one col/intern" 1
+    (interns (fun () -> Flow.solve_exn db linear))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_solver_zoo;
@@ -338,6 +376,7 @@ let suite =
     Alcotest.test_case "adversarial: multi-component databases" `Quick
       adversarial_multi_component;
     Alcotest.test_case "adversarial: empty cuts" `Quick adversarial_empty_cut;
+    Alcotest.test_case "kernel solves compile once" `Quick kernel_compiles_once;
     Alcotest.test_case "adversarial: duplicates and wrong arity" `Quick
       adversarial_duplicates_and_arity;
   ]

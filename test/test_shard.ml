@@ -524,6 +524,50 @@ let router_differential () =
      done;
      !found)
 
+(* The router canonicalizes each distinct query once: five routed solves
+   of one query (over different facts) cost one miss of its memo, and a
+   relation-renamed copy costs one more. *)
+let router_canon_memo () =
+  let shard_path = temp_socket_path () in
+  let shard = Server.start (shard_config shard_path) in
+  let router_path = temp_socket_path () in
+  let router =
+    Router.start
+      {
+        (Router.default_config ~address:(Net.Unix_socket router_path)
+           ~shards:[ Net.Unix_socket shard_path ])
+        with
+        health_period_ms = 0;
+      }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop router;
+      Router.wait router;
+      Server.stop shard)
+  @@ fun () ->
+  let fd, ic, oc = connect router_path in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) @@ fun () ->
+  let misses () =
+    let stats = request ic oc "stats" in
+    match
+      List.find_map
+        (fun kv -> String.split_on_char '=' kv |> function
+          | [ "router.canon_misses"; v ] -> Some v
+          | _ -> None)
+        (String.split_on_char ' ' stats)
+    with
+    | Some v -> v
+    | None -> Alcotest.failf "no router.canon_misses in %S" stats
+  in
+  for i = 1 to 5 do
+    let reply = request ic oc (Printf.sprintf "solve R(x,y), R(y,z) | R(%d,%d); R(%d,%d)" i (i + 1) (i + 1) (i + 2)) in
+    Alcotest.(check bool) "routed solve answered" true (starts_with "ok" reply)
+  done;
+  Alcotest.(check string) "5 routed solves of one query: 1 miss" "1" (misses ());
+  ignore (request ic oc "solve S(x,y), S(y,z) | S(1,2)");
+  Alcotest.(check string) "a relation-renamed copy: 1 more" "2" (misses ())
+
 let suite =
   [
     Alcotest.test_case "ring: basics" `Quick ring_basics;
@@ -541,4 +585,5 @@ let suite =
     Alcotest.test_case "lanes: bounded queue sheds" `Quick lanes_shedding;
     Alcotest.test_case "store: warm restart" `Quick store_warm_restart;
     Alcotest.test_case "router: differential vs single server" `Quick router_differential;
+    Alcotest.test_case "router: one canon miss per distinct query" `Quick router_canon_memo;
   ]
