@@ -31,7 +31,7 @@ let keys_for a data vars tids =
     Array.map (fun tid -> (cv.(tid) lsl 31) lor cw.(tid)) tids
   | _ -> invalid_arg "Flow.keys_for: boundary wider than the binary fragment"
 
-let solve_kernel ~cancel ~fact_exogenous view db q atoms bounds =
+let solve_kernel ~cancel ~fact_exogenous view q atoms bounds =
   let m = Array.length atoms in
   let t =
     Obs.span ~cat:"flow" "build" @@ fun () ->
@@ -88,35 +88,16 @@ let solve_kernel ~cancel ~fact_exogenous view db q atoms bounds =
              let c = String.compare r1 r2 in
              if c <> 0 then c else Int.compare t1 t2)
     in
-    let with_facts =
-      List.map (fun (rel, tid) -> (Eval.view_fact view rel tid, rel, tid)) tagged
-      |> List.sort (fun (f, _, _) (g, _, _) -> Database.compare_fact f g)
-    in
-    let cut_facts = List.map (fun (f, _, _) -> f) with_facts in
-    let contingency =
-      Obs.span ~cat:"flow" "minimalize" @@ fun () ->
-      Tuning.minimalize ~cancel ~view db q cut_facts
-    in
-    (* map the kept facts back to tuple ids (both lists share the
-       [compare_fact] order, so one linear merge suffices) and verify the
-       falsification on the interned columns — no recompile *)
-    let removed_ids =
-      let rec merge kept all acc =
-        match (kept, all) with
-        | [], _ -> acc
-        | _, [] -> assert false
-        | k :: kept', (f, rel, tid) :: all' ->
-          if Database.compare_fact k f = 0 then merge kept' all' ((rel, tid) :: acc)
-          else merge kept all' acc
-      in
-      merge contingency with_facts []
-    in
+    (* the certificate: the cut's distinct tuples number exactly the flow
+       value.  A cut that spent two edges on one self-joined tuple would
+       fall short, the case Prop 31 (Lemma 55) and Prop 41 exclude. *)
+    assert (List.length tagged = flow);
     let by_rel = Hashtbl.create 4 in
     List.iter
       (fun (rel, tid) ->
         let cur = try Hashtbl.find by_rel rel with Not_found -> [] in
         Hashtbl.replace by_rel rel (tid :: cur))
-      removed_ids;
+      tagged;
     let removals =
       Hashtbl.fold
         (fun rel tids acc ->
@@ -125,8 +106,13 @@ let solve_kernel ~cancel ~fact_exogenous view db q atoms bounds =
           (rel, arr) :: acc)
         by_rel []
     in
+    (* the falsification, replayed on the interned columns — no recompile *)
     assert (not (Eval.view_sat_removed view removals));
-    Solution.Finite (List.length contingency, contingency)
+    let contingency =
+      List.map (fun (rel, tid) -> Eval.view_fact view rel tid) tagged
+      |> List.sort Database.compare_fact
+    in
+    Solution.Finite (flow, contingency)
   end
 
 (* ---- the structural path ----------------------------------------------- *)
@@ -146,17 +132,9 @@ let solve_structural ~cancel ?fact_exogenous db (q : Res_cq.Query.t) atoms =
   if Witness_net.value net >= Maxflow.infinite then Solution.Unbreakable
   else begin
     let cut_facts = Obs.span ~cat:"flow" "mincut" (fun () -> Witness_net.cut_facts net) in
-    (* Greedy minimalization: duplicate edges of a self-joined tuple may
-       have put redundant facts in the cut.  For sj-free queries the cut
-       has no duplicates anyway, and each greedy step pays a full
-       [Eval.sat] over the database — [Tuning] gates it on instance
-       size. *)
-    let contingency =
-      Obs.span ~cat:"flow" "minimalize" @@ fun () ->
-      Tuning.minimalize ~cancel db q cut_facts
-    in
-    assert (not (Eval.sat (Database.remove_all db contingency) q));
-    Solution.Finite (List.length contingency, contingency)
+    assert (List.length cut_facts = Witness_net.value net);
+    assert (not (Eval.sat (Database.remove_all db cut_facts) q));
+    Solution.Finite (List.length cut_facts, cut_facts)
   end
 
 let solve ?(cancel = Cancel.never) ?fact_exogenous db (q : Res_cq.Query.t) =
@@ -168,7 +146,7 @@ let solve ?(cancel = Cancel.never) ?fact_exogenous db (q : Res_cq.Query.t) =
     Some
       (match Eval.view db q with
       | Some view ->
-        solve_kernel ~cancel ~fact_exogenous view db q atoms (Witness_net.boundaries atoms)
+        solve_kernel ~cancel ~fact_exogenous view q atoms (Witness_net.boundaries atoms)
       | None -> solve_structural ~cancel ?fact_exogenous db q atoms)
 
 let solve_exn ?cancel ?fact_exogenous db q =

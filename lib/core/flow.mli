@@ -15,16 +15,18 @@
     still works — linear queries whose only self-join is a single
     2-confluence (Prop 31, Lemma 55: no minimal cut uses two copies), and
     qTS3conf after forced-tuple elimination (Prop 41) — the duplicate edges
-    are harmless; the returned contingency set is de-duplicated, greedily
-    minimalized, and re-verified against the query.
+    are harmless: the cut's distinct tuples number exactly the flow value
+    (asserted), so the de-duplicated cut is a minimum contingency set.  It
+    is re-verified against the query.
 
     [fact_exogenous] lets callers force specific {e tuples} (not whole
     relations) to be uncuttable — e.g. Prop 36 makes off-diagonal R-tuples
     exogenous for the z3 family.
 
     [cancel] is polled once per tuple while the network is built and once
-    per kept fact during cut minimalization; a fired token raises
-    {!Cancel.Cancelled} (flow has no useful partial answer to salvage). *)
+    after each of the build and the max-flow, never after the cut; a fired
+    token raises {!Cancel.Cancelled} (flow has no useful partial answer to
+    salvage). *)
 
 open Res_db
 

@@ -3,23 +3,17 @@ module Maxflow = Res_graph.Maxflow
 module Matchbuild = Res_col.Matchbuild
 module Obs = Res_obs.Obs
 
-(* Shared finishing step: drop redundant facts greedily (only worthwhile
-   for small sets — the flow and König results are already optimal, the
-   greedy pass just strips duplicate-edge artifacts), then check the
-   result really falsifies the query.  The size gate lives in [Tuning].
-   The kernels pass their [view]: minimalization enumerates witnesses on
-   it, and the check replays the removals on its already-interned
-   columns, instead of recompiling [db] and [db - minimal] — at 10^6
-   tuples that re-intern + semijoin dominated the whole solve. *)
+(* Shared finishing step: every route below returns a set whose size is
+   its flow value or matching size (asserted where it is computed), so it
+   is already minimum; this only checks that it falsifies the query.  The
+   kernels pass their [view], so the check replays the removals on its
+   already-interned columns instead of recompiling [db - facts]. *)
 let finalize ?view db q facts =
-  let minimal =
-    Obs.span ~cat:"special" "minimalize" @@ fun () -> Tuning.minimalize ?view db q facts
-  in
   assert (
     match view with
-    | Some view -> not (Eval.view_sat_removed view (Eval.view_removals_of_facts view minimal))
-    | None -> not (Eval.sat (Database.remove_all db minimal) q));
-  Solution.Finite (List.length minimal, minimal)
+    | Some view -> not (Eval.view_sat_removed view (Eval.view_removals_of_facts view facts))
+    | None -> not (Eval.sat (Database.remove_all db facts) q));
+  Solution.Finite (List.length facts, facts)
 
 module VP = struct
   (* Unordered pair of values, canonically ordered. *)
@@ -99,6 +93,7 @@ let solve_a_perm ~a ~r db q =
     Obs.span ~cat:"special" "matching" @@ fun () ->
     Res_graph.Bipartite.min_vertex_cover cg.g
   in
+  assert (List.length left + List.length right = Res_graph.Bipartite.matching_size cg.g);
   let facts =
     List.map (fun ai -> Database.fact a [ Eval.view_value view cg.left_ids.(ai) ]) left
     @ List.map (fun pi -> pair_fact view r cg.right_keys.(pi)) right
@@ -119,6 +114,7 @@ let solve_z3 ~r ~a db q =
     Obs.span ~cat:"special" "matching" @@ fun () ->
     Res_graph.Bipartite.min_vertex_cover cg.g
   in
+  assert (List.length left + List.length right = Res_graph.Bipartite.matching_size cg.g);
   let facts =
     List.map
       (fun di ->
@@ -224,7 +220,7 @@ let perm_pairs_flow ~left_facts ~left_anchor ~one_way_cost1 ~r db q =
   (net, left, pairs, left_edges, pair_edges, one_way_edges)
   in
   let source = 0 and sink = 1 in
-  let _flow =
+  let flow =
     Obs.span ~cat:"special" "maxflow" @@ fun () -> Maxflow.max_flow net ~src:source ~dst:sink
   in
   let cut_facts =
@@ -258,6 +254,7 @@ let perm_pairs_flow ~left_facts ~left_anchor ~one_way_cost1 ~r db q =
   let ow_cut = List.filter_map (fun (e, f) -> if edge_in_cut e then Some f else None) one_way_edges in
     !left_cut @ !pair_cut @ ow_cut
   in
+  assert (List.length cut_facts = flow);
   finalize db q cut_facts
 
 let solve_a3perm ~a ~r db q =
@@ -401,6 +398,9 @@ let solve_witness_bipartite db (q : Res_cq.Query.t) =
           @ List.map (fun i -> left_arr.(i)) cover_l
           @ List.map (fun i -> right_arr.(i)) cover_r
         in
+        (* the forced units and a matching are disjoint witnesses *)
+        assert (
+          List.length chosen = List.length forced + Res_graph.Bipartite.matching_size g);
         Some (finalize db q chosen)
       end
     end

@@ -210,13 +210,15 @@ let fact_set_of q valuation =
     (fun set f -> Database.Fact_set.add f set)
     Database.Fact_set.empty (facts_of_valuation q valuation)
 
+exception Witness_limit of int
+
 (* One witness per emitted valuation, in canonical order. *)
 let collect ~limit q enum =
   let acc = ref [] in
   let n = ref 0 in
   enum (fun valuation ->
       incr n;
-      if !n > limit then failwith "Eval.witnesses: limit exceeded";
+      if !n > limit then raise (Witness_limit limit);
       acc := { valuation; facts = fact_set_of q valuation } :: !acc);
   canonical !acc
 
@@ -225,18 +227,16 @@ let backtracking_witnesses ?(limit = 2_000_000) db q =
   collect ~limit q (fun push ->
       enumerate db q ~emit:(fun subst -> push (List.map (fun v -> (v, Smap.find v subst)) vars)))
 
-let compiled_witnesses ~limit q c =
-  ensure_reduced c;
-  let vars = Res_cq.Query.vars q in
-  collect ~limit q (fun push ->
-      Res_obs.Obs.span ~cat:"col" "enumerate" @@ fun () ->
-      Res_col.Instance.enumerate c.inst ~emit:(fun b ->
-          push (List.mapi (fun i v -> (v, VDict.value c.dict b.(i))) vars)))
-
 let witnesses ?(limit = 2_000_000) db q =
   match compile db q with
   | None -> backtracking_witnesses ~limit db q
-  | Some c -> compiled_witnesses ~limit q c
+  | Some c ->
+    ensure_reduced c;
+    let vars = Res_cq.Query.vars q in
+    collect ~limit q (fun push ->
+        Res_obs.Obs.span ~cat:"col" "enumerate" @@ fun () ->
+        Res_col.Instance.enumerate c.inst ~emit:(fun b ->
+            push (List.mapi (fun i v -> (v, VDict.value c.dict b.(i))) vars)))
 
 let witness_fact_sets db q =
   let module FS = Set.Make (struct
@@ -282,7 +282,6 @@ type view = { c : compiled; q : Res_cq.Query.t }
 
 let view db q = Option.map (fun c -> { c; q }) (compile db q)
 
-let view_witnesses ?(limit = 2_000_000) v = compiled_witnesses ~limit v.q v.c
 let view_n v = VDict.size v.c.dict
 let view_value v id = VDict.value v.c.dict id
 

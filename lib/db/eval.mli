@@ -25,12 +25,16 @@ type witness = {
 val sat : Database.t -> Res_cq.Query.t -> bool
 (** [D |= q], with early exit. *)
 
+exception Witness_limit of int
+(** Raised by a witness enumeration that exceeds its [limit] (the
+    argument). *)
+
 val witnesses : ?limit:int -> Database.t -> Res_cq.Query.t -> witness list
 (** All witnesses (valuations), in canonical order — lexicographic on the
     valuation's values in [Query.vars] order, so the result is identical
-    whichever plane enumerated it.  @raise Failure if more than [limit]
-    (default 2_000_000) witnesses exist — a guard against accidental
-    cross-product blowups in tests. *)
+    whichever plane enumerated it.  @raise Witness_limit if more than
+    [limit] (default 2_000_000) witnesses exist — a guard against
+    accidental cross-product blowups in tests. *)
 
 val backtracking_witnesses : ?limit:int -> Database.t -> Res_cq.Query.t -> witness list
 (** {!witnesses} computed by the backtracking join whatever the query's
@@ -78,10 +82,6 @@ val view : Database.t -> Res_cq.Query.t -> view option
     enumeration), so kernels that only read raw columns never pay for
     it.  [None] exactly when the query is not columnar-eligible —
     callers then take their structural path. *)
-
-val view_witnesses : ?limit:int -> view -> witness list
-(** {!witnesses} of the instance the view was compiled from, enumerated
-    on its columns — no second compile. *)
 
 val view_n : view -> int
 (** Exclusive bound of the interned id space (the dict size, < 2^31). *)

@@ -5,10 +5,9 @@ type t = Witness_net.t
 
 (* Admitted: linear queries whose endogenous relations each occur in one
    atom.  There facts and unit edges are in bijection, so any min cut's
-   edge set maps to a fact set of exactly the flow value: the greedy
-   minimalization of the from-scratch path is provably a no-op.  (A
-   self-joined endogenous relation puts one fact on several edges, where
-   a cut can double-count.) *)
+   edge set maps to a fact set of exactly the flow value, and the cut is
+   the answer.  (A self-joined endogenous relation puts one fact on
+   several edges, where a cut can double-count.) *)
 let create db (q : Q.t) =
   let single r = Q.is_exogenous q r || List.length (Q.atoms_of_rel q r) <= 1 in
   match Resilience.Linearity.linear_order q with

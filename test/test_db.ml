@@ -97,8 +97,11 @@ let eval_exogenous_in_witness () =
 
 let eval_limit_guard () =
   let db = Database.of_int_rows [ ("A", List.init 40 (fun i -> [ i ])); ("B", List.init 40 (fun i -> [ i ])) ] in
-  Alcotest.check_raises "limit" (Failure "Eval.witnesses: limit exceeded") (fun () ->
-      ignore (Eval.witnesses ~limit:100 db (q "A(x), B(y)")))
+  Alcotest.check_raises "limit" (Eval.Witness_limit 100) (fun () ->
+      ignore (Eval.witnesses ~limit:100 db (q "A(x), B(y)")));
+  let db = Database.of_int_rows [ ("R", [ [ 1; 2 ]; [ 2; 3 ] ]) ] in
+  Alcotest.check_raises "one witness past the limit" (Eval.Witness_limit 1) (fun () ->
+      ignore (Eval.witnesses ~limit:1 db (q "R(x,y)")))
 
 let eval_facts_of_valuation () =
   let query = q "R(x,y), R(y,z)" in

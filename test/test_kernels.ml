@@ -11,8 +11,9 @@
    - strategy-level differentials: Flow and each Special strategy
      compared directly on its own template, with the returned
      contingency set checked to falsify the query;
-   - the [Tuning.minimalize] counting rewrite against the reference
-     sat-per-step greedy pass ([Tuning.minimalize_greedy]);
+   - an oracle over every polynomial route of the plan: the returned set
+     is duplicate-free, endogenous, falsifying, of size ρ and
+     irredundant;
    - adversarial units: repeated-variable atoms R(x,x), exogenous
      relations and per-fact exogenity, multi-component databases,
      empty cuts, unbreakable instances — plus [Db_gen] family
@@ -145,42 +146,73 @@ let prop_special_kernels =
       ignore (against_exact name db q solve);
       true)
 
-(* --- the minimalize counting rewrite ------------------------------------- *)
+(* --- every polynomial route returns an irredundant minimum set ---------- *)
 
-let random_binary_query st =
-  let vars = [| "x"; "y"; "z"; "w" |] in
-  let rels = [| ("R", 2); ("S", 2); ("A", 1); ("B", 1) |] in
-  let n_atoms = 1 + Random.State.int st 3 in
-  let atoms =
-    List.init n_atoms (fun _ ->
-        let rel, ar = rels.(Random.State.int st (Array.length rels)) in
-        Res_cq.Atom.make rel
-          (List.init ar (fun _ -> vars.(Random.State.int st (Array.length vars)))))
-  in
-  Res_cq.Query.make atoms
+(* The solvers return a route's cut or cover as it stands, with no
+   shrinking pass: its size is the route's flow value or matching size,
+   which the paper shows is ρ, so no fact of it can be spared.  Checked
+   per planned component on the database its route reads (the split
+   copies materialized, unmirrored: a mirrored template's answer is
+   already mapped back to the user's facts).  Beside the binary zoo, the
+   queries of the routes no zoo entry takes: trivial, REP flow, pair
+   collapse, a mirrored template, the witness cover and two components. *)
+let route_queries =
+  lazy
+    (List.map (fun (en : Zoo.entry) -> (en.name, en.query)) (Lazy.force binary_zoo)
+    @ List.map
+        (fun s -> (s, qp s))
+        [
+          "A^x(x), R^x(x,y)";
+          "R(x,x), R(x,y), A(y), B(y)";
+          "R(x,y), R(y,x), B^x(y)";
+          "R(x,x), R(y,x), A(y)";
+          "R(x,y), R(y,x), S^x(x,z), T^x(y,z)";
+          "R(x,y), R(y,x), A(u), S(u,v), B(v)";
+        ])
 
-let prop_minimalize_counting =
+let prop_routes_irredundant =
   QCheck.Test.make ~count:300
-    ~name:"tuning: counting minimalize = reference sat-per-step greedy pass"
+    ~name:"oracle: every polynomial route returns an irredundant minimum contingency set"
     QCheck.(int_bound 10_000_000)
     (fun seed ->
+      let queries = Lazy.force route_queries in
+      let name, query = List.nth queries (seed mod List.length queries) in
       let st = Random.State.make [| seed; 1019 |] in
-      let q = random_binary_query st in
-      let db = random_db_for st q in
-      (* a random candidate list drawn from the database, occasionally
-         with a structural duplicate (the counting pass must then fall
-         back and still agree) *)
-      let facts = List.filter (fun _ -> Random.State.bool st) (Database.facts db) in
-      let facts =
-        match facts with
-        | f :: _ when Random.State.int st 4 = 0 -> f :: facts
-        | _ -> facts
-      in
-      let counting = Tuning.minimalize db q facts in
-      let greedy = Tuning.minimalize_greedy db q facts in
-      if counting <> greedy then
-        QCheck.Test.fail_reportf "minimalize diverges: counting=%d greedy=%d facts=%d"
-          (List.length counting) (List.length greedy) (List.length facts);
+      let db = random_db_for st query in
+      List.iter
+        (fun (c : Solver.component) ->
+          let q = c.query in
+          let db_c = Solver.route_db db { c with route = Solver.Trivial } in
+          match Solver.run db c with
+          | algorithm, _ when String.starts_with ~prefix:"exact" algorithm -> ()
+          | algorithm, Solver.Interval _ ->
+            QCheck.Test.fail_reportf "%s / %s: interval without a deadline" name algorithm
+          | algorithm, Solver.Value s -> (
+            let fail msg = QCheck.Test.fail_reportf "%s / %s: %s" name algorithm msg in
+            let exact = Exact.value db_c q in
+            match s with
+            | Solution.Unbreakable -> if exact <> None then fail "unbreakable, exact is finite"
+            | Solution.Finite (v, facts) ->
+              let falsified facts = not (Eval.sat (Database.remove_all db_c facts) q) in
+              if List.length (List.sort_uniq Database.compare_fact facts) <> List.length facts
+              then fail "duplicate facts";
+              if
+                not
+                  (List.for_all
+                     (fun (f : Database.fact) ->
+                       Database.mem db f && not (Res_cq.Query.is_exogenous q f.rel))
+                     facts)
+              then fail "a fact is exogenous or not in the database";
+              if not (falsified facts) then fail "the set does not falsify the query";
+              if v <> List.length facts || Some v <> exact then
+                fail (Printf.sprintf "size %d, value %d, exact %s" (List.length facts) v
+                        (value_str exact));
+              List.iter
+                (fun f ->
+                  if falsified (List.filter (fun g -> Database.compare_fact g f <> 0) facts) then
+                    fail "restoring one fact leaves the query false")
+                facts))
+        (Solver.plan query);
       true)
 
 (* --- Db_gen families at jobs 1 and 4 ------------------------------------- *)
@@ -322,10 +354,10 @@ let adversarial_duplicates_and_arity () =
   let s = against_exact "dup" db q (fun db q -> Special.solve_perm ~r:"R" db q) in
   Alcotest.(check (option int)) "pair {1,2} and loop {3}" (Some 2) (Solution.value s)
 
-(* A kernel solve compiles its instance once: minimalization enumerates
-   witnesses on the kernel's view instead of interning the database a
-   second time.  Counted as [col/intern] span openings with tracing on,
-   on instances small enough that minimalization runs. *)
+(* A kernel solve compiles its instance once: the falsification check
+   replays the removals on the kernel's view instead of interning the
+   database a second time.  Counted as [col/intern] span openings with
+   tracing on. *)
 let kernel_compiles_once () =
   let module Obs = Res_obs.Obs in
   let interns f =
@@ -366,7 +398,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_solver_zoo_pool;
     QCheck_alcotest.to_alcotest prop_flow_kernel;
     QCheck_alcotest.to_alcotest prop_special_kernels;
-    QCheck_alcotest.to_alcotest prop_minimalize_counting;
+    QCheck_alcotest.to_alcotest prop_routes_irredundant;
     Alcotest.test_case "db_gen families: kernel = pinned values at jobs 1/4" `Slow
       db_gen_families_jobs;
     Alcotest.test_case "adversarial: repeated-variable atoms" `Quick

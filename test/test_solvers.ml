@@ -202,11 +202,9 @@ let solver_trace_algorithms () =
 (* Names of the form R__k are user relations like any other: the
    exogenous split must neither fill an empty one with R's tuples nor
    merge one with its own copies of R.  The same holds for the helper
-   relations of the Prop 35 pair collapse; 20_001 unrelated facts lift
-   the database over the minimalization cap, so a stray helper fact
-   would stay in the answer. *)
+   relations of the Prop 35 pair collapse: the answer is the flow's cut
+   as it stands, so a stray helper fact would count toward the value. *)
 let split_copies_are_fresh () =
-  let padding = String.concat "" (List.init 20_001 (Printf.sprintf "; Z(%d)")) in
   List.iter
     (fun (query, facts, expect) ->
       let db = Fact_syntax.database facts and query' = q query in
@@ -215,8 +213,8 @@ let split_copies_are_fresh () =
     [
       ("A(x,y), A__2(y,z)", "A(1,2); A(2,3)", 0);
       ("H^x(x,y), H^x(y,z), H__1(x,y)", "H(1,2); H(2,3); H__1(1,2)", 1);
-      ("R(x,y), R(y,x), B^x(y)", "R(1,2); R(2,1); B(1); B(2); R__pay(7); R__pair(1,7)" ^ padding, 1);
-      ("R(x,y), R(y,x), B^x(y)", "R(1,2); R(2,1); B(1); B(2); R__1(1,7); R__2(7)" ^ padding, 1);
+      ("R(x,y), R(y,x), B^x(y)", "R(1,2); R(2,1); B(1); B(2); R__pay(7); R__pair(1,7)", 1);
+      ("R(x,y), R(y,x), B^x(y)", "R(1,2); R(2,1); B(1); B(2); R__1(1,7); R__2(7)", 1);
     ]
 
 (* --- semantic laws as properties ------------------------------------------- *)
