@@ -11,45 +11,43 @@ type t = {
   dsts : int array;
 }
 
-(* Prefix offsets of a counting sort: [off.(b)] is the first slot of
-   bucket [b] in [0 .. n-1]. *)
-let offsets ~n edges bucket =
-  let off = Array.make (n + 1) 0 in
-  Array.iter
-    (fun e ->
-      let b = bucket e + 1 in
-      off.(b) <- off.(b) + 1)
-    edges;
-  for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i + 1) + off.(i)
-  done;
-  off
+(* Counting-sort buckets of the live tuples by [col], in [cnt] (n + 1
+   slots): on return [cnt.(b)] is one past the last slot of bucket [b]
+   and [cnt.(n)] is the live count.  Scattering the tuples in reverse,
+   each one to [decr cnt.(b)], then leaves every bucket start in
+   [cnt.(b)] — a stable sort whose table is also the row pointer. *)
+let bucket_ends ~n cnt col live =
+  Array.fill cnt 0 (n + 1) 0;
+  Array.iter (fun tid -> cnt.(col.(tid)) <- cnt.(col.(tid)) + 1) live;
+  for b = 1 to n do
+    cnt.(b) <- cnt.(b) + cnt.(b - 1)
+  done
 
 (* One direction as two stable counting passes, an LSD sort with base
-   [n]: edge indexes ordered by [value], then stably scattered into
-   rows by [key].  Every row comes out sorted by value — strictly,
-   since (src, dst) pairs are unique — in O(n + m), with no per-row
-   sort. *)
-let index ~n ~m edges key value =
-  let by_value = Array.make m 0 in
-  let pos = offsets ~n edges value in
-  Array.iteri
-    (fun i e ->
-      let v = value e in
-      by_value.(pos.(v)) <- i;
-      pos.(v) <- pos.(v) + 1)
-    edges;
-  let ptr = offsets ~n edges key in
-  let pos = Array.sub ptr 0 n in
+   [n]: the live tuple ids ordered by [value] into [order], then stably
+   scattered into rows by [key].  Every row comes out sorted by value —
+   strictly, since (src, dst) pairs are unique — in O(n + m), with no
+   per-row sort.  [cnt] and [order] are scratch shared by both
+   directions. *)
+let index ~n ~cnt ~order key value live =
+  let m = Array.length live in
+  bucket_ends ~n cnt value live;
+  for i = m - 1 downto 0 do
+    let tid = live.(i) in
+    let v = value.(tid) in
+    cnt.(v) <- cnt.(v) - 1;
+    order.(cnt.(v)) <- tid
+  done;
+  let ptr = Array.make (n + 1) 0 in
+  bucket_ends ~n ptr key live;
   let vals = Array.make m 0 and tids = Array.make m 0 in
-  Array.iter
-    (fun i ->
-      let ((_, _, tid) as e) = edges.(i) in
-      let k = key e in
-      vals.(pos.(k)) <- value e;
-      tids.(pos.(k)) <- tid;
-      pos.(k) <- pos.(k) + 1)
-    by_value;
+  for i = m - 1 downto 0 do
+    let tid = order.(i) in
+    let k = key.(tid) in
+    ptr.(k) <- ptr.(k) - 1;
+    vals.(ptr.(k)) <- value.(tid);
+    tids.(ptr.(k)) <- tid
+  done;
   (ptr, vals, tids)
 
 let nonempty_rows ptr n =
@@ -71,21 +69,21 @@ let nonempty_rows ptr n =
    int (the kernel builders' keys). *)
 let limit = 1 lsl 31
 
-let build_dirs ~fwd ~rev ~n edges =
+let build ~fwd ~rev ~n ~col0 ~col1 live =
   if n >= limit then invalid_arg "Csr.build: node id space exceeds 31 bits";
+  let m = Array.length live in
   Array.iter
-    (fun (s, d, tid) ->
-      if s < 0 || s >= n || d < 0 || d >= n then invalid_arg "Csr.build: id out of range";
-      if tid < 0 || tid >= limit then invalid_arg "Csr.build: tuple id exceeds 31 bits")
-    edges;
-  let m = Array.length edges in
+    (fun tid ->
+      if tid < 0 || tid >= limit then invalid_arg "Csr.build: tuple id exceeds 31 bits";
+      let s = col0.(tid) and d = col1.(tid) in
+      if s < 0 || s >= n || d < 0 || d >= n then invalid_arg "Csr.build: id out of range")
+    live;
+  let cnt = Array.make (n + 1) 0 and order = Array.make m 0 in
   let fwd_ptr, fwd_dst, fwd_tid =
-    if fwd then index ~n ~m edges (fun (s, _, _) -> s) (fun (_, d, _) -> d)
-    else ([||], [||], [||])
+    if fwd then index ~n ~cnt ~order col0 col1 live else ([||], [||], [||])
   in
   let rev_ptr, rev_src, rev_tid =
-    if rev then index ~n ~m edges (fun (_, d, _) -> d) (fun (s, _, _) -> s)
-    else ([||], [||], [||])
+    if rev then index ~n ~cnt ~order col1 col0 live else ([||], [||], [||])
   in
   {
     n;
@@ -99,8 +97,6 @@ let build_dirs ~fwd ~rev ~n edges =
     srcs = (if fwd then nonempty_rows fwd_ptr n else [||]);
     dsts = (if rev then nonempty_rows rev_ptr n else [||]);
   }
-
-let build ~n edges = build_dirs ~fwd:true ~rev:true ~n edges
 
 let n_nodes t = t.n
 let n_edges t = t.m

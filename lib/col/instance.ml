@@ -16,7 +16,7 @@ type atom_info = {
   data : rel_data;
   shape : shape;
   mutable live : int array; (* surviving tuple ids, ascending *)
-  mutable idx : index option;
+  mutable idx : index option; (* built on the first probe *)
 }
 
 (* A variable's candidate source from one atom, resolved statically
@@ -35,7 +35,7 @@ type t = {
   atoms : atom_info array;
   order : int array; (* enumeration order, as var indexes *)
   plan : support list array; (* plan.(k): supports of order.(k) *)
-  without : (string * int array) list; (* per-relation excluded tids, sorted *)
+  seeded : bool; (* the live sets already hold the fixpoint's start *)
   mutable reduced : bool;
   mutable empty : bool;
   mutable passes : int;
@@ -86,7 +86,7 @@ let choose_order nvars shapes =
   done;
   order
 
-let make ?(without = []) q ~n rels =
+let make q ~n rels =
   let vars = Res_cq.Query.vars q in
   let nvars = List.length vars in
   let vidx v =
@@ -139,7 +139,7 @@ let make ?(without = []) q ~n rels =
     atoms;
     order;
     plan;
-    without;
+    seeded = false;
     reduced = false;
     empty = false;
     passes = 0;
@@ -148,30 +148,44 @@ let make ?(without = []) q ~n rels =
 
 (* ---- semijoin reduction ------------------------------------------------ *)
 
-(* membership in a sorted exclusion array *)
-let excluded sorted tid =
-  let hi = Array.length sorted in
-  let i = Sorted.lower_bound sorted 0 hi tid in
-  i < hi && sorted.(i) = tid
+(* The [get i], [i < n], that satisfy [ok], in order. *)
+let select n get ok =
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    if ok (get i) then incr kept
+  done;
+  let out = Array.make !kept 0 in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    let x = get i in
+    if ok x then begin
+      out.(!k) <- x;
+      incr k
+    end
+  done;
+  out
 
-let initial_live t a =
-  let m = Array.length a.data.col0 in
-  let base =
-    match a.shape with
-    | Un _ | Bi _ -> Array.init m Fun.id
-    | Di _ ->
-      (* only diagonal tuples can match R(x,x) *)
-      let keep = ref [] in
-      for i = m - 1 downto 0 do
-        if a.data.col0.(i) = a.data.col1.(i) then keep := i :: !keep
-      done;
-      Array.of_list !keep
-  in
-  match List.assoc_opt a.rel t.without with
-  | None | Some [||] -> base
-  | Some drop ->
-    let kept = Array.to_list base |> List.filter (fun tid -> not (excluded drop tid)) in
-    Array.of_list kept
+(* [arr] itself when every element passes: an untouched live set is
+   shared, never copied. *)
+let filter ok arr =
+  if Array.for_all ok arr then arr else select (Array.length arr) (Array.get arr) ok
+
+(* The fixpoint's start from scratch: every tuple of each atom's
+   relation that is not [dropped] — only diagonal ones for R(x,x).
+   Atoms of one relation and shape kind share one array. *)
+let seed_all atoms ~dropped =
+  let seeds = ref [] in
+  Array.iter
+    (fun a ->
+      let d = a.data and diag = match a.shape with Di _ -> true | Un _ | Bi _ -> false in
+      match List.assoc_opt (a.rel, diag) !seeds with
+      | Some live -> a.live <- live
+      | None ->
+        let drop = dropped a.rel in
+        let ok tid = (not (drop tid)) && ((not diag) || d.col0.(tid) = d.col1.(tid)) in
+        a.live <- select (Array.length d.col0) Fun.id ok;
+        seeds := ((a.rel, diag), a.live) :: !seeds)
+    atoms
 
 (* projections of an atom's live tuples onto variable [v]: the columns
    of [v]'s occurrences *)
@@ -228,19 +242,9 @@ let semijoin_pass t allowed scratch =
           Bytes.get allowed.(v0) a.data.col0.(tid) = '\001'
           && Bytes.get allowed.(v1) a.data.col1.(tid) = '\001'
       in
-      let kept = ref 0 in
-      Array.iter (fun tid -> if ok tid then incr kept) a.live;
-      if !kept <> Array.length a.live then begin
-        let out = Array.make !kept 0 in
-        let k = ref 0 in
-        Array.iter
-          (fun tid ->
-            if ok tid then begin
-              out.(!k) <- tid;
-              incr k
-            end)
-          a.live;
-        a.live <- out;
+      let live = filter ok a.live in
+      if live != a.live then begin
+        a.live <- live;
         changed := true
       end)
     t.atoms;
@@ -256,6 +260,7 @@ let sorted_keys col live =
   I_keys { keys; tids }
 
 let build_indexes t =
+  Res_obs.Obs.span ~cat:"col" "index" @@ fun () ->
   (* The static plan names exactly which trie direction each binary
      atom is probed in (frontier or bound-neighbour row, one variable
      each side): build only those — each skipped direction saves a
@@ -275,8 +280,8 @@ let build_indexes t =
         | Un _ | Di _ -> sorted_keys a.data.col0 a.live
         | Bi _ ->
           I_csr
-            (Csr.build_dirs ~fwd:need_fwd.(ai) ~rev:need_rev.(ai) ~n:t.n
-               (Array.map (fun tid -> (a.data.col0.(tid), a.data.col1.(tid), tid)) a.live))
+            (Csr.build ~fwd:need_fwd.(ai) ~rev:need_rev.(ai) ~n:t.n ~col0:a.data.col0
+               ~col1:a.data.col1 a.live)
       in
       a.idx <- Some idx)
     t.atoms
@@ -284,7 +289,7 @@ let build_indexes t =
 let reduce t =
   if not t.reduced then begin
     t.reduced <- true;
-    Array.iter (fun a -> a.live <- initial_live t a) t.atoms;
+    if not t.seeded then seed_all t.atoms ~dropped:(fun _ _ -> false);
     if Array.length t.atoms > 0 then begin
       let allowed = Array.init t.nvars (fun _ -> Bytes.create t.n) in
       let scratch = Bytes.create t.n in
@@ -297,9 +302,39 @@ let reduce t =
           continue_ := false
         end
       done
-    end;
-    build_indexes t
+    end
   end
+
+(* [D - removed] as a fresh instance over the same columns and plan.
+   Each atom starts from [t]'s reduced live set when [t] has one, from
+   all its tuples otherwise, minus the removed ids (a byte mask per
+   relation).  Seeding from the reduced sets is sound: the fixpoint of
+   [D - removed] lies inside that of [D] (a tuple that is pruned without
+   the removals is pruned with them too), so it equals the fixpoint of
+   [reduced(D) - removed]. *)
+let without t removed =
+  let masks =
+    List.map
+      (fun (rel, tids) ->
+        let mask = Bytes.make (Array.fold_left max (-1) tids + 1) '\000' in
+        Array.iter (fun tid -> Bytes.set mask tid '\001') tids;
+        (rel, mask))
+      removed
+  in
+  let dropped rel =
+    match List.assoc_opt rel masks with
+    | Some mask -> fun tid -> tid < Bytes.length mask && Bytes.get mask tid = '\001'
+    | None -> fun _ -> false
+  in
+  let atoms = Array.map (fun a -> { a with idx = None }) t.atoms in
+  if t.reduced then
+    Array.iter
+      (fun a ->
+        let drop = dropped a.rel in
+        a.live <- filter (fun tid -> not (drop tid)) a.live)
+      atoms
+  else seed_all atoms ~dropped;
+  { t with atoms; seeded = true; reduced = false; empty = false; passes = 0; live_cache = [] }
 
 let passes t = t.passes
 let is_reduced t = t.reduced
@@ -354,8 +389,7 @@ let live t rel =
     let arr =
       match parts with
       | [] -> [||]
-      | [ single ] -> Array.copy single
-      | first :: rest -> List.fold_left merge_sorted (Array.copy first) rest
+      | first :: rest -> List.fold_left merge_sorted first rest
     in
     t.live_cache <- (rel, arr) :: t.live_cache;
     arr
@@ -376,6 +410,7 @@ let enumerate t ~emit =
   reduce t;
   if Array.length t.atoms = 0 then emit [||]
   else if not t.empty then begin
+    if Option.is_none t.atoms.(0).idx then build_indexes t;
     let binding = Array.make t.nvars (-1) in
     let rec go k =
       if k = t.nvars then emit binding

@@ -92,22 +92,17 @@ let solve_kernel ~cancel ~fact_exogenous view q atoms bounds =
        value.  A cut that spent two edges on one self-joined tuple would
        fall short, the case Prop 31 (Lemma 55) and Prop 41 exclude. *)
     assert (List.length tagged = flow);
-    let by_rel = Hashtbl.create 4 in
-    List.iter
-      (fun (rel, tid) ->
-        let cur = try Hashtbl.find by_rel rel with Not_found -> [] in
-        Hashtbl.replace by_rel rel (tid :: cur))
-      tagged;
-    let removals =
-      Hashtbl.fold
-        (fun rel tids acc ->
-          let arr = Array.of_list tids in
-          Array.sort Int.compare arr;
-          (rel, arr) :: acc)
-        by_rel []
-    in
-    (* the falsification, replayed on the interned columns — no recompile *)
-    assert (not (Eval.view_sat_removed view removals));
+    (* the falsification, replayed on the interned columns — no
+       recompile, and the semijoin restarts from the reduced live sets
+       the layers were built from *)
+    Obs.span ~cat:"flow" "certify" (fun () ->
+        let removals =
+          List.sort_uniq String.compare (List.map fst tagged)
+          |> List.map (fun rel ->
+                 let tids = List.filter_map (fun (r, tid) -> if r = rel then Some tid else None) tagged in
+                 (rel, Array.of_list tids))
+        in
+        assert (not (Eval.view_sat_removed view removals)));
     let contingency =
       List.map (fun (rel, tid) -> Eval.view_fact view rel tid) tagged
       |> List.sort Database.compare_fact

@@ -9,10 +9,11 @@ module Obs = Res_obs.Obs
    kernels pass their [view], so the check replays the removals on its
    already-interned columns instead of recompiling [db - facts]. *)
 let finalize ?view db q facts =
-  assert (
-    match view with
-    | Some view -> not (Eval.view_sat_removed view (Eval.view_removals_of_facts view facts))
-    | None -> not (Eval.sat (Database.remove_all db facts) q));
+  Obs.span ~cat:"special" "certify" (fun () ->
+      assert (
+        match view with
+        | Some view -> not (Eval.view_sat_removed view (Eval.view_removals_of_facts view facts))
+        | None -> not (Eval.sat (Database.remove_all db facts) q)));
   Solution.Finite (List.length facts, facts)
 
 module VP = struct

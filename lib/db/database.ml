@@ -70,6 +70,9 @@ let of_int_rows rows =
 let tuples_of db rel =
   match Smap.find_opt rel db with None -> [] | Some s -> Tset.elements s
 
+let iter_tuples db rel f = match Smap.find_opt rel db with None -> () | Some s -> Tset.iter f s
+let cardinal db rel = match Smap.find_opt rel db with None -> 0 | Some s -> Tset.cardinal s
+
 let relations db = Smap.fold (fun rel _ acc -> rel :: acc) db [] |> List.rev
 let size db = Smap.fold (fun _ s acc -> acc + Tset.cardinal s) db 0
 

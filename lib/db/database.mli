@@ -34,6 +34,13 @@ val of_int_rows : (string * int list list) list -> t
 (** Convenience for tests: int constants. *)
 
 val tuples_of : t -> string -> tuple list
+
+val iter_tuples : t -> string -> (tuple -> unit) -> unit
+(** {!tuples_of}, in order, without building the list. *)
+
+val cardinal : t -> string -> int
+(** Number of tuples of one relation. *)
+
 val relations : t -> string list
 val size : t -> int
 (** n = |D|, the number of tuples. *)

@@ -127,36 +127,33 @@ let compile db (q : Res_cq.Query.t) =
     let module I = Res_col.Instance in
     let dict, rels =
       Res_obs.Obs.span ~cat:"col" "intern" @@ fun () ->
-      let parts =
-        List.map
-          (fun r ->
-            let ar = Res_cq.Query.arity_of q r in
-            let right, wrong =
-              List.partition (fun t -> List.length t = ar) (Database.tuples_of db r)
-            in
-            (r, ar, Array.of_list right, wrong))
-          (Res_cq.Query.relations q)
-      in
+      let sized = List.map (fun r -> (r, Database.cardinal db r)) (Res_cq.Query.relations q) in
       (* one value per tuple is the expected distinct count; the table
          grows past it on demand *)
-      let hint = List.fold_left (fun n (_, _, arr, _) -> n + Array.length arr) 0 parts in
+      let hint = List.fold_left (fun n (_, m) -> n + m) 0 sized in
       let dict = VDict.create ~hint () in
-      let intern (r, ar, arr, wrong) =
-        let m = Array.length arr in
-        let col0 = Array.make m 0 in
-        let col1 = if ar = 2 then Array.make m 0 else [||] in
-        Array.iteri
-          (fun i t ->
+      (* The columns fill straight from the tuple set: tuple ids in set
+         order, wrong-arity tuples (rare) set aside in that order. *)
+      let intern (r, m) =
+        let ar = Res_cq.Query.arity_of q r in
+        let col0 = Array.make m 0 and col1 = Array.make (if ar = 2 then m else 0) 0 in
+        let rows = Array.make m [] and k = ref 0 and wrong = ref [] in
+        Database.iter_tuples db r (fun t ->
             match t with
-            | [ a ] -> col0.(i) <- VDict.intern dict a
-            | [ a; b ] ->
-              col0.(i) <- VDict.intern dict a;
-              col1.(i) <- VDict.intern dict b
-            | _ -> assert false)
-          arr;
-        (r, { I.arity = ar; col0; col1 }, arr, wrong)
+            | [ a ] when ar = 1 ->
+              col0.(!k) <- VDict.intern dict a;
+              rows.(!k) <- t;
+              incr k
+            | [ a; b ] when ar = 2 ->
+              col0.(!k) <- VDict.intern dict a;
+              col1.(!k) <- VDict.intern dict b;
+              rows.(!k) <- t;
+              incr k
+            | _ -> wrong := t :: !wrong);
+        let fit a = if Array.length a > !k then Array.sub a 0 !k else a in
+        (r, { I.arity = ar; col0 = fit col0; col1 = fit col1 }, fit rows, List.rev !wrong)
       in
-      (dict, List.map intern parts)
+      (dict, List.map intern sized)
     in
     let inst =
       Res_obs.Obs.span ~cat:"col" "build" @@ fun () ->
@@ -278,38 +275,35 @@ let reduce db q =
    The kernels build their flow/matching graphs directly on the ids and
    only materialize structural facts for the final contingency set —
    [reduce]'s output is never rebuilt into a structural [Database]. *)
-type view = { c : compiled; q : Res_cq.Query.t }
+type view = compiled
 
-let view db q = Option.map (fun c -> { c; q }) (compile db q)
+let view = compile
 
-let view_n v = VDict.size v.c.dict
-let view_value v id = VDict.value v.c.dict id
+let view_n v = VDict.size v.dict
+let view_value v id = VDict.value v.dict id
 
 let view_data v rel =
-  match List.find_opt (fun (r, _, _, _) -> r = rel) v.c.rows with
+  match List.find_opt (fun (r, _, _, _) -> r = rel) v.rows with
   | Some (_, d, _, _) -> d
   | None -> invalid_arg ("Eval.view_data: unknown relation " ^ rel)
 
 let view_live v rel =
-  ensure_reduced v.c;
-  Res_col.Instance.live v.c.inst rel
+  ensure_reduced v;
+  Res_col.Instance.live v.inst rel
 
 let view_rows v rel =
-  match List.find_opt (fun (r, _, _, _) -> r = rel) v.c.rows with
+  match List.find_opt (fun (r, _, _, _) -> r = rel) v.rows with
   | Some (_, _, arr, _) -> arr
   | None -> invalid_arg ("Eval.view_rows: unknown relation " ^ rel)
 
 let view_fact v rel tid = Database.fact rel (view_rows v rel).(tid)
 
 let view_sat_removed v removed =
-  (* Rebuild the instance from the already-interned columns minus the
-     removed tuples and re-run the semijoin + trie join: satisfiability
-     of [db - removed] without touching structural tuples again.  Sound
-     because semijoin reduction preserves witness sets, so filtering
-     the full columns is equivalent to filtering the database. *)
-  let rels = List.map (fun (r, d, _, _) -> (r, d)) v.c.rows in
-  let inst = Res_col.Instance.make ~without:removed v.q ~n:(view_n v) rels in
-  Res_col.Instance.sat inst
+  (* Satisfiability of [db - removed] on the already-interned columns:
+     the semijoin restarts from the view's reduced live sets when a
+     kernel has read them (from every tuple otherwise), and the trie
+     join builds its indexes only if that fixpoint is not empty. *)
+  Res_col.Instance.sat (Res_col.Instance.without v.inst removed)
 
 let view_removals_of_facts v facts =
   (* Re-intern the facts through the view's dict (a value the dict has
@@ -331,9 +325,9 @@ let view_removals_of_facts v facts =
       | Some fs ->
         let key_of (f : Database.fact) =
           match f.tuple with
-          | [ a ] when d.arity = 1 -> VDict.find_opt v.c.dict a
+          | [ a ] when d.arity = 1 -> VDict.find_opt v.dict a
           | [ a; b ] when d.arity = 2 -> (
-            match (VDict.find_opt v.c.dict a, VDict.find_opt v.c.dict b) with
+            match (VDict.find_opt v.dict a, VDict.find_opt v.dict b) with
             | Some ia, Some ib -> Some ((ia lsl 31) lor ib)
             | _ -> None)
           | _ -> None (* wrong arity for this query: matches no atom *)
@@ -355,4 +349,4 @@ let view_removals_of_facts v facts =
           done;
           Some (rel, Array.of_list !tids)
         end)
-    v.c.rows
+    v.rows

@@ -77,11 +77,12 @@ val columnar_eligible : Res_cq.Query.t -> bool
 type view
 
 val view : Database.t -> Res_cq.Query.t -> view option
-(** Compile [db] for [q]: intern the columns without reducing them —
-    the semijoin fixpoint runs lazily on first {!view_live} (or any
-    enumeration), so kernels that only read raw columns never pay for
-    it.  [None] exactly when the query is not columnar-eligible —
-    callers then take their structural path. *)
+(** Compile [db] for [q]: fill each relation's columns straight from its
+    tuple set, without reducing them — the semijoin fixpoint runs lazily
+    on first {!view_live} (or any enumeration), so kernels that only
+    read raw columns never pay for it, and trie indexes wait for the
+    first enumeration.  [None] exactly when the query is not
+    columnar-eligible — callers then take their structural path. *)
 
 val view_n : view -> int
 (** Exclusive bound of the interned id space (the dict size, < 2^31). *)
@@ -102,9 +103,11 @@ val view_fact : view -> string -> int -> Database.fact
 (** The structural fact of one tuple id. *)
 
 val view_sat_removed : view -> (string * int array) list -> bool
-(** Satisfiability of the instance minus the given per-relation sorted
-    tuple-id sets — the post-cut verification, re-using the interned
-    columns instead of recompiling the database. *)
+(** Satisfiability of the instance minus the given per-relation tuple-id
+    sets — the post-cut verification, on the interned columns
+    ({!Res_col.Instance.without}): the semijoin restarts from the
+    reduced live sets if {!view_live} has run, from all tuples
+    otherwise, and builds indexes only if its fixpoint is not empty. *)
 
 val view_removals_of_facts : view -> Database.fact list -> (string * int array) list
 (** Map structural facts back to per-relation sorted tuple-id exclusion

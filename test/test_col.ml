@@ -3,14 +3,17 @@
    the plane arity > 2 queries run on.  Four layers:
 
    - primitive laws: Dict round-trips, galloping intersection against
-     the two-pointer reference, CSR build determinism under input
-     shuffling;
+     the two-pointer reference, CSR build determinism under shuffled
+     live ids;
    - witness-level differentials: on random binary ssj-CQs × random
      databases the columnar witness list, count and sat verdict must
      match the backtracking join's;
    - solver-level differential: [Solver] values on a 4-domain pool
      must equal the exact resilience on the paper's query zoo;
-   - semijoin soundness: [Eval.reduce] never changes the witness set.
+   - semijoin soundness: [Eval.reduce] never changes the witness set,
+     and the exclusion instance ([Instance.without], behind
+     [Eval.view_sat_removed]) answers as the backtracking join on
+     [db - removed] whether its seed was reduced or not.
 
    Together the qcheck properties run well over 500 differential
    instances per suite execution. *)
@@ -224,15 +227,21 @@ let prop_inter_many =
       in
       Sorted.inter_many slices = expected)
 
+(* [Csr.build] over the columns of an edge list, tuple id = list index *)
+let csr_of_edges ~n ?live edges =
+  let col0 = Array.of_list (List.map fst edges) and col1 = Array.of_list (List.map snd edges) in
+  let live = match live with Some l -> l | None -> Array.init (Array.length col0) Fun.id in
+  Csr.build ~fwd:true ~rev:true ~n ~col0 ~col1 live
+
 let prop_csr_shuffle_deterministic =
   QCheck.Test.make ~count:200 ~name:"csr: build is independent of input order"
     QCheck.(pair (small_list (pair (int_bound 20) (int_bound 20))) int)
     (fun (edges, seed) ->
-      (* tuple ids must stay attached to their edge, so tag before shuffling *)
-      let tagged = List.mapi (fun i (u, v) -> (u, v, i)) edges in
+      (* the live ids name their edge through the columns, so shuffling
+         them reorders the input without detaching any tuple id *)
       let shuffled =
         let st = Random.State.make [| seed |] in
-        let a = Array.of_list tagged in
+        let a = Array.init (List.length edges) Fun.id in
         for i = Array.length a - 1 downto 1 do
           let j = Random.State.int st (i + 1) in
           let t = a.(i) in
@@ -241,8 +250,8 @@ let prop_csr_shuffle_deterministic =
         done;
         a
       in
-      let c1 = Csr.build ~n:21 (Array.of_list tagged) in
-      let c2 = Csr.build ~n:21 shuffled in
+      let c1 = csr_of_edges ~n:21 edges in
+      let c2 = csr_of_edges ~n:21 ~live:shuffled edges in
       let slices_equal c c' =
         List.for_all
           (fun v ->
@@ -257,8 +266,7 @@ let prop_csr_mem_tid =
     QCheck.(small_list (pair (int_bound 15) (int_bound 15)))
     (fun edges ->
       let edges = List.sort_uniq compare edges in
-      let tagged = Array.of_list (List.mapi (fun i (u, v) -> (u, v, i)) edges) in
-      let c = Csr.build ~n:16 tagged in
+      let c = csr_of_edges ~n:16 edges in
       List.for_all
         (fun u ->
           List.for_all
@@ -269,7 +277,9 @@ let prop_csr_mem_tid =
         (List.init 16 Fun.id))
 
 (* Rows come out of two counting passes; the reference is the per-row
-   sort of (neighbour, tuple id) the earlier build ran. *)
+   sort of (neighbour, tuple id) the earlier build ran.  Only every
+   third tuple id is live: the columns' other slots hold decoy edges
+   the build must not read. *)
 let prop_csr_rows_sorted =
   QCheck.Test.make ~count:200 ~name:"csr: rows strictly sorted, equal to a per-row sort"
     QCheck.(pair (int_range 1 80) (list_of_size (Gen.int_bound 600) (pair small_nat small_nat)))
@@ -278,7 +288,15 @@ let prop_csr_rows_sorted =
         List.sort_uniq compare (List.map (fun (u, v) -> (u mod n, v mod n)) pairs)
         |> List.mapi (fun i (u, v) -> (u, v, 3 * i))
       in
-      let c = Csr.build ~n (Array.of_list edges) in
+      let m = 3 * List.length edges in
+      let col0 = Array.init m (fun i -> i mod n) and col1 = Array.make m 0 in
+      List.iter
+        (fun (u, v, tid) ->
+          col0.(tid) <- u;
+          col1.(tid) <- v)
+        edges;
+      let live = Array.of_list (List.map (fun (_, _, tid) -> tid) edges) in
+      let c = Csr.build ~fwd:true ~rev:true ~n ~col0 ~col1 live in
       let row dir x =
         List.filter_map
           (fun (u, v, tid) ->
@@ -338,6 +356,30 @@ let prop_reduce_sound =
       if not (witnesses_equal ws ws') then QCheck.Test.fail_report "witness set changed";
       (* every surviving tuple is a genuine subset of the original *)
       List.for_all (fun f -> Database.mem db f) (Database.facts reduced))
+
+(* The post-cut replay: an instance minus a removal set, seeded from a
+   reduced and from an unreduced instance, must answer [sat] exactly as
+   the backtracking join on the structural [db - removed]. *)
+let prop_without_differential =
+  QCheck.Test.make ~count:300
+    ~name:"exclusion: Instance.without from a reduced or unreduced seed = backtracking on db - removed"
+    QCheck.(int_bound 10_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 113 |] in
+      let q = random_binary_query st in
+      let db = random_db_for st q in
+      let facts = Database.facts db in
+      let removed = List.filter (fun _ -> Random.State.int st 3 = 0) facts in
+      let expected = Eval.backtracking_witnesses (Database.remove_all db removed) q <> [] in
+      let replay ~reduced =
+        let v = Option.get (Eval.view db q) in
+        (* reading a live set is what reduces the view *)
+        if reduced then List.iter (fun r -> ignore (Eval.view_live v r)) (Res_cq.Query.relations q);
+        Eval.view_sat_removed v (Eval.view_removals_of_facts v removed)
+      in
+      if replay ~reduced:true <> expected then QCheck.Test.fail_report "reduced seed differs";
+      if replay ~reduced:false <> expected then QCheck.Test.fail_report "unreduced seed differs";
+      true)
 
 (* --- solver-level differential over the zoo ------------------------------- *)
 
@@ -498,6 +540,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_csr_rows_sorted;
     QCheck_alcotest.to_alcotest prop_witness_differential;
     QCheck_alcotest.to_alcotest prop_reduce_sound;
+    QCheck_alcotest.to_alcotest prop_without_differential;
     QCheck_alcotest.to_alcotest prop_solver_differential_pool;
     Alcotest.test_case "adversarial: empty/missing relation" `Quick adversarial_empty_relation;
     Alcotest.test_case "adversarial: self-loops and diagonal atoms" `Quick adversarial_self_loop;
